@@ -4,8 +4,13 @@ Both solvers sweep the tree bottom-up. A node's table maps a profile (the
 sorted multiset of sizes of the partial tours entering its subtree) to the
 cheapest witness realizing it. Children are folded in one at a time -- every
 child tour is either kept separate or merged into one distinct accumulated
-tour -- then the node's own tokens are distributed, and finally the parent
-edge is charged once per tour.
+tour -- then the node's own tokens are distributed, the solver's node filter
+(structure check or size rounding) runs once on the node's final profile, and
+finally the parent edge is charged once per tour.
+
+The depot is not folded. It has no parent edge and no bucket constraint, so
+merging tours there never changes the cost: the root entry is the sum of each
+depot child's cheapest entry, plus free tours for the depot's own tokens.
 
 ``solve_bicriteria`` stores sizes rounded DOWN to a threshold grid built from
 a much finer eps', so its cost never exceeds the optimum while true loads may
@@ -113,12 +118,13 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
     step; costs simply add because edge charges live below.
     """
     out: Table = {}
+    # canonical order so equal-size child tours are interchangeable
+    entries = [(c_ch, tuple(sorted(ch_builds, key=lambda b: b.size)))
+               for c_ch, ch_builds in child.values()]
     for c_acc, acc_builds in acc.values():
         n_acc = len(acc_builds)
-        for c_ch, ch_builds in child.values():
+        for c_ch, ch in entries:
             base = c_acc + c_ch
-            # canonical order so equal-size child tours are interchangeable
-            ch = tuple(sorted(ch_builds, key=lambda b: b.size))
 
             # choice encoding: slot index 0..n_acc-1 to merge, n_acc = separate
             def assign(i: int, cur: tuple[_Build, ...], used: frozenset,
@@ -238,33 +244,48 @@ def _round_down(size: int, sigma: tuple[int, ...]) -> int:
 
 
 def _sweep(inst: TreeInstance, node_filter, pad_cap: int,
-           budget: int, stats: dict | None = None) -> Table:
-    """Bottom-up profile DP; returns the root table."""
+           budget: int, stats: dict | None = None) -> tuple[Weight, list]:
+    """Bottom-up profile DP; returns the root entry ``(cost, builds)``.
+
+    ``node_filter`` runs once per non-depot node, on its profile after the
+    node's tokens are distributed; intermediate child folds are not node
+    profiles and are never filtered. The depot is not folded: its entry
+    concatenates each depot child's best entry and covers ``demand[0]`` with
+    extra tours of at most Q tokens, which cost nothing.
+    """
     table: dict[int, Table] = {}
     states = 0
-    for v in reversed(inst.topo_order):
+    for v in reversed(inst.topo_order[1:]):
         acc: Table = {(): (0, ())}
         for u in inst.children[v]:
             acc = merge_child_table(acc, table.pop(u), inst.capacity,
                                     budget, v)
-            acc = node_filter(acc, v)
             states += len(acc)
         acc = distribute_tokens(acc, v, inst.demand[v], inst.capacity,
                                 pad_cap, budget)
-        acc = node_filter(acc, v)
+        acc = node_filter(acc)
         states += len(acc)
         if not acc:
             raise NoStructuredSolutionError(
                 f"no admissible profile survives at node {v}", v)
         table[v] = charge_edge(acc, inst.weight[v])
+    cost, builds = 0, []
+    for u in inst.children[0]:
+        c, b = _best_entry(table.pop(u))
+        cost += c
+        builds.extend(b)
+    q, d0 = inst.capacity, inst.demand[0]
+    for i in range(0, d0, q):
+        size = min(q, d0 - i)
+        builds.append(_Build(size, ((0, size),)))
     if stats is not None:
         stats["states"] = states
-    return table[0]
+    return cost, builds
 
 
-def _best_entry(root: Table):
-    best_key = min(root, key=lambda k: (root[k][0], len(k), k))
-    return root[best_key]
+def _best_entry(table: Table):
+    best_key = min(table, key=lambda k: (table[k][0], len(k), k))
+    return table[best_key]
 
 
 def _builds_to_solution(inst: TreeInstance, builds, with_pads=False) -> Solution:
@@ -301,17 +322,18 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
                      stats: dict | None = None) -> BicriteriaResult:
     """Cost never above the optimum; loads may exceed Q by ~(1+eps').
 
-    Sizes are rounded down to the eps'-threshold grid after each node, so any
-    optimal solution maps to an admissible run of the same or lower stored
-    cost, while a stored size understates the true load by at most a (1+eps')
-    factor per tree level.
+    Sizes are rounded down to the eps'-threshold grid once per node, after
+    its tokens are distributed, so any optimal solution maps to an admissible
+    run of the same or lower stored cost, while a stored size understates the
+    true load by at most a (1+eps') factor per tree level. The depot is not
+    folded, so its tours are never merged or rounded.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     ep = eps_prime if eps_prime is not None else default_eps_prime(inst, eps)
     sigma = thresholds(inst.capacity, ep).sigma
 
-    def node_filter(acc: Table, v: int) -> Table:
+    def node_filter(acc: Table) -> Table:
         out: Table = {}
         for cost, builds in acc.values():
             rounded = tuple(_Build(_round_down(b.size, sigma), b.phys, b.pads)
@@ -319,8 +341,7 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
             _put(out, rounded, cost)
         return out
 
-    root = _sweep(inst, node_filter, 0, max_states, stats)
-    cost, builds = _best_entry(root)
+    cost, builds = _sweep(inst, node_filter, 0, max_states, stats)
     sol = _builds_to_solution(inst, builds)
     max_load = max((t.load for t in sol.tours), default=0)
     grid_exact = sigma == tuple(range(1, inst.capacity + 1))
@@ -340,15 +361,13 @@ def solve_structured(inst: TreeInstance, eps: float = 0.5,
     if params is None:
         params = DPParams.generous(inst, eps)
 
-    def node_filter(acc: Table, v: int) -> Table:
-        if v == 0:
-            return acc  # no depot edge, no bucket constraint at the depot
+    def node_filter(acc: Table) -> Table:
         return {k: e for k, e in acc.items()
                 if _structured_ok(k, params.schedule, params.gamma,
                                   params.groups)}
 
-    root = _sweep(inst, node_filter, params.pad_cap, params.max_states, stats)
-    _, builds = _best_entry(root)
+    _, builds = _sweep(inst, node_filter, params.pad_cap, params.max_states,
+                       stats)
     sol = _builds_to_solution(inst, builds)
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +12,45 @@ from treecvrp.dp import (
     merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact
 from treecvrp.generate import stress_instance
-from treecvrp.instance import TreeInstance
-from treecvrp.structure import thresholds
+from treecvrp.instance import Solution, Tour, TreeInstance
+from treecvrp.structure import TransformParams, profile_complexity, thresholds
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
+
+
+def with_depot_demand(seed):
+    """Seeded small instance whose depot also holds 1..4 tokens."""
+    inst = random_instance(seed, unit_demand=False, max_tokens=7)
+    d0 = random.Random(seed).randint(1, 4)
+    return inst.replace(demand=(d0,) + inst.demand[1:])
+
+
+def token_partitions(inst):
+    """Every partition of the tokens into tours of load <= Q, once each."""
+    tokens = [v for v in range(inst.n) for _ in range(inst.demand[v])]
+    seen = set()
+    groups: list[list[int]] = []
+
+    def rec(i):
+        if i == len(tokens):
+            key = tuple(sorted(tuple(sorted(g)) for g in groups))
+            if key not in seen:
+                seen.add(key)
+                yield key
+            return
+        for g in groups:
+            if len(g) < inst.capacity:
+                g.append(tokens[i])
+                yield from rec(i + 1)
+                g.pop()
+        groups.append([tokens[i]])
+        yield from rec(i + 1)
+        groups.pop()
+
+    yield from rec(0)
 
 
 def brute_consistent(o_v, z_v, z1, z2):
@@ -124,9 +158,19 @@ class TestBicriteria:
             assert t.load <= (1 + 1.0) * inst.capacity
 
     def test_state_budget(self):
+        # node 1 folds two unit leaves into profiles (1, 1) and (2,); the
+        # depot holds no frontier, so the inner node is the one that overflows
+        inst = TreeInstance((-1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), 2)
         with pytest.raises(ResourceLimitError) as info:
-            solve_bicriteria(STAR, 0.5, max_states=1)
-        assert info.value.node == 0
+            solve_bicriteria(inst, 0.5, max_states=1)
+        assert info.value.node == 1
+
+    def test_dp_cost_is_solution_cost(self):
+        for seed in range(20):
+            inst = with_depot_demand(seed)
+            for eps_prime in (None, 1.0):
+                res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
+                assert res.dp_cost == res.solution.total_cost, f"seed {seed}"
 
 
 class TestStructured:
@@ -173,6 +217,34 @@ class TestStructured:
         assert check_feasible(inst, padded).ok
         assert padded.total_cost == 36  # three tours padded to size 7
 
+    def test_filter_sees_only_final_profiles(self):
+        # the cheapest structured solution, tours {2:3} and {3:4, 4:1}, passes
+        # an unstructured fold at node 1 before node 1's final profile
+        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 3, 2, 5, 4), (0, 0, 3, 4, 1),
+                            5)
+        params = DPParams(gamma=1, groups=1, schedule=thresholds(5, 0.5))
+        assert solve_structured(inst, 0.5, params).total_cost == 34
+
+    def test_cheapest_structured_matches_brute_force(self):
+        for seed in range(40):
+            inst = random_instance(seed, unit_demand=False, max_tokens=8)
+            partitions = [Solution.of(inst, [Tour.of(Counter(g)) for g in p])
+                          for p in token_partitions(inst)]
+            for eps, gamma, groups in ((0.5, 1, 0), (0.25, 1, 1), (0.5, 2, 1)):
+                sched = thresholds(inst.capacity, eps)
+                tp = TransformParams(gamma, groups)
+                best = min((sol.total_cost for sol in partitions
+                            if profile_complexity(inst, sol, sched, tp).ok),
+                           default=None)
+                params = DPParams(gamma=gamma, groups=groups, schedule=sched)
+                if best is None:
+                    with pytest.raises(NoStructuredSolutionError):
+                        solve_structured(inst, eps, params)
+                    continue
+                sol = solve_structured(inst, eps, params)
+                assert sol.total_cost == best, f"seed {seed} {params}"
+                assert profile_complexity(inst, sol, sched, tp).ok
+
     def test_filter_can_rule_out_everything(self):
         # gamma=1 with g=0 allows at most one tour per bucket; the five
         # buckets of thresholds(8, 0.5) can carry at most 1+2+4+7+8 = 22
@@ -190,6 +262,31 @@ class TestStructured:
         stats = {}
         solve_structured(STAR, 0.5, stats=stats)
         assert stats["states"] > 0
+
+
+class TestCollapsedRoot:
+    def test_depot_demand_above_capacity(self):
+        inst = TreeInstance((-1, 0, 0, 0, 3), (0, 1, 2, 3, 1),
+                            (7, 1, 1, 0, 2), 3)
+        opt = solve_exact(inst).total_cost
+        sol = solve_structured(inst)
+        res = solve_bicriteria(inst, 0.5)
+        for s in (sol, res.solution):
+            assert s.total_cost == opt
+            assert check_feasible(inst, s).ok
+            assert sorted(t.load for t in s.tours if t.nodes == (0,)) == \
+                [1, 3, 3]
+
+    def test_solvers_match_exact_with_depot_demand(self):
+        for seed in range(30):
+            inst = with_depot_demand(seed)
+            opt = solve_exact(inst).total_cost
+            sol = solve_structured(inst)
+            assert sol.total_cost == opt, f"seed {seed}"
+            assert check_feasible(inst, sol).ok
+            res = solve_bicriteria(inst, 0.5)
+            assert res.solution.total_cost == opt, f"seed {seed}"
+            assert check_feasible(inst, res.solution).ok
 
 
 class TestTableHelpers:
