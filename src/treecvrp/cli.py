@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 import click
 
@@ -27,6 +28,9 @@ from .verify import check_feasible
 
 EXIT_FAILURE = 1
 EXIT_RESOURCE = 3
+
+# Parsed to an exact Fraction, so that "0.1" is 1/10 and not the nearest float.
+eps_option = click.option("--eps", type=Fraction, default="0.5")
 
 
 def _read(path: str) -> str:
@@ -67,7 +71,7 @@ def gen(shape, n, capacity, demand_model, seed, output):
 @click.argument("instance")
 @click.option("--algo", type=click.Choice(["exact", "itp", "bicriteria",
                                            "qptas"]), default="exact")
-@click.option("--eps", type=float, default=0.5)
+@eps_option
 @click.option("--gamma", type=int, default=None)
 @click.option("--groups", "-g", type=int, default=None)
 @click.option("--pad-cap", type=int, default=0)
@@ -119,7 +123,7 @@ def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,
 def verify(instance, solution, as_json):
     """Check a solution; exit 1 on any violation."""
     inst = _load_inst(instance)
-    sol = load_solution(_read(solution))
+    sol = _load_sol(solution)
     rep = check_feasible(inst, sol)
     if as_json:
         click.echo(json.dumps(dataclasses.asdict(rep)))
@@ -140,24 +144,18 @@ def bound(instance):
 
 @main.command()
 @click.argument("instance")
-@click.option("--eps", type=float, default=0.5)
+@eps_option
 @click.option("-o", "--output", default=None)
-@click.option("--map-file", default=None,
-              help="Write 'map <node> <reduced-node>' sidecar lines.")
-def reduce(instance, eps, output, map_file):
+def reduce(instance, eps, output):
     """Emit the height-reduced instance."""
-    inst = _load_inst(instance)
-    rt = build_reduced_tree(inst, eps)
+    rt = build_reduced_tree(_load_inst(instance), eps)
     _write(output, save_instance(rt.tree))
-    if map_file:
-        lines = [f"map {v} {rt.to_reduced(v)}" for v in range(inst.n)]
-        _write(map_file, "\n".join(lines) + "\n")
 
 
 @main.command("transform")
 @click.argument("instance")
 @click.argument("solution")
-@click.option("--eps", type=float, default=0.5)
+@eps_option
 @click.option("--seed", type=int, default=0)
 @click.option("--gamma", type=int, default=None)
 @click.option("--groups", "-g", type=int, default=None)
@@ -167,7 +165,7 @@ def transform_cmd(instance, solution, eps, seed, gamma, groups, instance_out,
                   solution_out):
     """Apply the structure transform; print a JSON report."""
     inst = _load_inst(instance)
-    sol = load_solution(_read(solution))
+    sol = _load_sol(solution)
     params = TransformParams.defaults(inst.n, eps)
     if gamma is not None or groups is not None:
         params = TransformParams(
@@ -214,6 +212,13 @@ def _load_inst(path: str):
         return load_instance(_read(path))
     except InstanceError as exc:
         raise click.UsageError(f"bad instance: {exc}")
+
+
+def _load_sol(path: str):
+    try:
+        return load_solution(_read(path))
+    except InstanceError as exc:
+        raise click.UsageError(f"bad solution: {exc}")
 
 
 if __name__ == "__main__":

@@ -227,18 +227,6 @@ def charge_edge(table: Table, weight: Weight) -> Table:
     return {k: (c + 2 * weight * len(k), b) for k, (c, b) in table.items()}
 
 
-def _structured_ok(key: tuple[int, ...], schedule: ThresholdSchedule,
-                   gamma: int, groups: int) -> bool:
-    per_bucket: Counter = Counter()
-    distinct: dict[int, set[int]] = {}
-    for s in key:
-        b = schedule.bucket_of(s)
-        per_bucket[b] += 1
-        distinct.setdefault(b, set()).add(s)
-    return all(per_bucket[b] <= gamma or len(distinct[b]) <= groups
-               for b in per_bucket)
-
-
 def _round_down(size: int, sigma: tuple[int, ...]) -> int:
     return sigma[bisect.bisect_right(sigma, size) - 1]
 
@@ -288,15 +276,13 @@ def _best_entry(table: Table):
     return table[best_key]
 
 
-def _builds_to_solution(inst: TreeInstance, builds, with_pads=False) -> Solution:
+def _builds_to_solution(inst: TreeInstance, builds) -> Solution:
+    """The builds' physical pickups as tours; pads are dropped."""
     tours = []
     for b in builds:
         pick: Counter = Counter()
         for v, c in b.phys:
             pick[v] += c
-        if with_pads:
-            for v, c in b.pads:
-                pick[v] += c
         if pick:
             tours.append(Tour.of(pick))
     return Solution.of(inst, tours)
@@ -363,8 +349,8 @@ def solve_structured(inst: TreeInstance, eps: float = 0.5,
 
     def node_filter(acc: Table) -> Table:
         return {k: e for k, e in acc.items()
-                if _structured_ok(k, params.schedule, params.gamma,
-                                  params.groups)}
+                if all(ok for _, ok in params.schedule.bucket_rule(
+                    k, params.gamma, params.groups).values())}
 
     _, builds = _sweep(inst, node_filter, params.pad_cap, params.max_states,
                        stats)

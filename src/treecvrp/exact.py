@@ -239,21 +239,3 @@ def solve_exact_k_tours(inst: TreeInstance, d: int,
     tours = [Tour.of(p) for p in pickups if p]
     return Solution.of(inst, tours)
 
-
-def merge_small_tours(inst: TreeInstance, sol: Solution) -> Solution:
-    """Greedily merge pairs of tours whose loads both fit in Q/2."""
-    q = inst.capacity
-    tours = list(sol.tours)
-    changed = True
-    while changed:
-        changed = False
-        small = [i for i, t in enumerate(tours) if 2 * t.load <= q]
-        if len(small) >= 2:
-            i, j = small[0], small[1]
-            merged: dict[int, int] = dict(tours[i].pickups)
-            for v, c in tours[j].pickups:
-                merged[v] = merged.get(v, 0) + c
-            tours[i] = Tour.of(merged)
-            del tours[j]
-            changed = True
-    return Solution.of(inst, tours)

@@ -10,8 +10,7 @@ to the reduced tree at no extra cost and lifts back at a small one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .instance import Solution, TreeInstance, Weight
 
@@ -101,15 +100,8 @@ def select_anchors(weights: list[Weight], eps: float) -> list[int]:
 @dataclass(frozen=True)
 class ReducedTree:
     tree: TreeInstance
-    original: TreeInstance
-    node_map: tuple[int, ...]  # identity bijection, kept explicit
+    original: TreeInstance  # same node ids as ``tree``
     zeroed_edges: tuple[int, ...]  # nodes whose parent edge was zeroed
-
-    def to_reduced(self, v: int) -> int:
-        return self.node_map[v]
-
-    def to_original(self, v: int) -> int:
-        return self.node_map[v]
 
 
 def path_length_trigger(n: int, eps: float, delta: float = 1.0) -> float:
@@ -142,12 +134,7 @@ def build_reduced_tree(inst: TreeInstance, eps: float,
                 parent[path[aj]] = a_node
                 weight[path[aj]] = seg
     reduced = TreeInstance(tuple(parent), tuple(weight), inst.demand, inst.capacity)
-    return ReducedTree(reduced, inst, tuple(range(inst.n)), tuple(sorted(zeroed)))
-
-
-def project_solution(rt: ReducedTree, sol: Solution) -> Solution:
-    """Re-cost a solution of the original tree on the reduced tree."""
-    return Solution.of(rt.tree, sol.tours)
+    return ReducedTree(reduced, inst, tuple(sorted(zeroed)))
 
 
 def lift_solution(rt: ReducedTree, sol: Solution) -> Solution:

@@ -81,7 +81,7 @@ class TreeInstance:
         kids: list[list[int]] = [[] for _ in range(self.n)]
         for v in range(1, self.n):
             kids[self.parent[v]].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
+        return tuple(tuple(k) for k in kids)  # ascending, as v ascends
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
@@ -106,17 +106,10 @@ class TreeInstance:
         stack = [0]
         while stack:
             u = stack.pop()
-            for c in self.children_raw[u]:
+            for c in self.children[u]:
                 order.append(c)
                 stack.append(c)
         return tuple(order)
-
-    @cached_property
-    def children_raw(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(1, self.n):
-            kids[self.parent[v]].append(v)
-        return tuple(tuple(k) for k in kids)
 
     @property
     def height(self) -> int:
@@ -128,7 +121,7 @@ class TreeInstance:
         stack = [v]
         while stack:
             u = stack.pop()
-            for c in self.children_raw[u]:
+            for c in self.children[u]:
                 out.append(c)
                 stack.append(c)
         return tuple(out)
@@ -376,6 +369,7 @@ def save_solution(sol: Solution) -> str:
 
 
 def load_solution(text: str) -> Solution:
+    """Parse ``tour <node>:<count> ...`` lines and one ``cost`` line."""
     tours: list[Tour] = []
     cost: Weight | None = None
     for ln in text.splitlines():
@@ -383,16 +377,25 @@ def load_solution(text: str) -> Solution:
         if not ln:
             continue
         parts = ln.split()
-        if parts[0] == "tour":
-            pick = {}
-            for item in parts[1:]:
-                node, _, cnt = item.partition(":")
-                pick[int(node)] = int(cnt)
-            tours.append(Tour.of(pick))
-        elif parts[0] == "cost" and len(parts) == 2:
-            cost = _parse_weight(parts[1])
-        else:
-            raise InstanceError(f"unrecognized solution line: {ln!r}")
+        try:
+            if parts[0] == "tour":
+                pick: dict[int, int] = {}
+                for item in parts[1:]:
+                    node, _, cnt = item.partition(":")
+                    v, c = int(node), int(cnt)
+                    if c < 0 or v in pick:
+                        raise InstanceError(
+                            f"negative or repeated pickup {item!r} in {ln!r}")
+                    pick[v] = c
+                tours.append(Tour.of(pick))  # zero counts are dropped
+            elif parts[0] == "cost" and len(parts) == 2:
+                cost = _parse_weight(parts[1])
+            else:
+                raise InstanceError(f"unrecognized solution line: {ln!r}")
+        except InstanceError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceError(f"malformed line: {ln!r}") from exc
     if cost is None:
         raise InstanceError("missing cost line")
     return Solution(tuple(tours), cost)

@@ -15,8 +15,11 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .instance import Solution, Tour, TreeInstance, Weight, solution_cost
+from .instance import (Solution, Tour, TreeInstance, Weight, _as_weight,
+                       solution_cost, tour_cost)
 
 
 class TransformInfeasible(RuntimeError):
@@ -31,7 +34,7 @@ class TransformInfeasible(RuntimeError):
 @dataclass(frozen=True)
 class ThresholdSchedule:
     sigma: tuple[int, ...]
-    eps: float
+    eps: Fraction | float
     capacity: int
 
     def bucket_of(self, size: int) -> int:
@@ -40,11 +43,25 @@ class ThresholdSchedule:
             raise ValueError(f"coverage {size} outside [1, {self.capacity}]")
         return bisect.bisect_right(self.sigma, size) - 1
 
-    def __len__(self) -> int:
-        return len(self.sigma)
+    def bucket_rule(self, sizes: Iterable[int], gamma: int,
+                    groups: int) -> dict[int, tuple[int, bool]]:
+        """The structure rule on the partial-tour sizes at one node.
+
+        Maps each occupied bucket, in order of first appearance, to its count
+        of distinct sizes and whether it is admissible: small (at most
+        ``gamma`` tours) or holding at most ``groups`` distinct sizes.
+        """
+        per_bucket: dict[int, list[int]] = defaultdict(list)
+        for s in sizes:
+            per_bucket[self.bucket_of(s)].append(s)
+        out = {}
+        for b, bucket_sizes in per_bucket.items():
+            d = len(set(bucket_sizes))
+            out[b] = (d, len(bucket_sizes) <= gamma or d <= groups)
+        return out
 
 
-def thresholds(capacity: int, eps: float) -> ThresholdSchedule:
+def thresholds(capacity: int, eps: Fraction | float) -> ThresholdSchedule:
     if capacity < 1 or eps <= 0:
         raise ValueError("need Q >= 1 and eps > 0")
     head = math.ceil(1 / eps)
@@ -87,8 +104,30 @@ class BucketView:
         return out
 
 
-def partial_coverage(inst: TreeInstance, pickups: dict[int, int], v: int) -> int:
-    return sum(pickups.get(u, 0) for u in inst.subtree(v))
+def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],
+             visit: Callable[[int, dict[int, int]], None] | None = None
+             ) -> list[dict[int, int]]:
+    """One bottom-up pass: ``cov[v]`` maps tour id -> its tokens in subtree(v).
+
+    ``pickups[tid]`` maps node -> tokens of tour tid; only nonzero entries are
+    stored. Nodes finish deepest level first, ascending ids within a level,
+    and a finished entry lists ids ascending. ``visit(v, cov[v])`` runs on
+    every non-depot node once its entry is complete and may rewrite it before
+    it is added into the parent's.
+    """
+    cov: list[dict[int, int]] = [{} for _ in range(inst.n)]
+    for tid, p in enumerate(pickups):
+        for u, c in p.items():
+            cov[u][tid] = c
+    for v in sorted(range(inst.n), key=lambda u: (-inst.depth[u], u)):
+        here = cov[v] = dict(sorted(cov[v].items()))
+        if v:
+            if visit is not None:
+                visit(v, here)
+            up = cov[inst.parent[v]]
+            for tid, c in here.items():
+                up[tid] = up.get(tid, 0) + c
+    return cov
 
 
 def bucket_partial_tours(inst: TreeInstance, sol: Solution, v: int,
@@ -96,21 +135,17 @@ def bucket_partial_tours(inst: TreeInstance, sol: Solution, v: int,
                          gamma: int | None = None,
                          groups: int | None = None) -> list[BucketView]:
     """Classify the partial tours at v into threshold buckets."""
-    picks = [t.as_dict() for t in sol.tours]
-    return _bucket_views(inst, picks, v, schedule,
+    here = coverage(inst, [t.as_dict() for t in sol.tours])[v]
+    return _bucket_views(here, v, schedule,
                          gamma if gamma is not None else len(sol.tours) + 1,
                          groups or 1)
 
 
-def _bucket_views(inst, pickups_list, v, schedule, gamma, g,
-                  include=None) -> list[BucketView]:
-    sub = set(inst.subtree(v))
+def _bucket_views(here: dict[int, int], v: int, schedule: ThresholdSchedule,
+                  gamma: int, g: int) -> list[BucketView]:
     per_bucket: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    ids = include if include is not None else range(len(pickups_list))
-    for tid in ids:
-        cov = sum(c for u, c in pickups_list[tid].items() if u in sub)
-        if cov:
-            per_bucket[schedule.bucket_of(cov)].append((cov, tid))
+    for tid, cov in here.items():
+        per_bucket[schedule.bucket_of(cov)].append((cov, tid))
     views = []
     for b in sorted(per_bucket):
         entries = sorted(per_bucket[b])
@@ -148,63 +183,60 @@ class TransformReport:
         = 2 * (sampled_cost - shortcut_savings) holds exactly.
         """
         delta = self.cost_after - self.cost_before
-        return self.sampled_cost - delta // 2
+        return _as_weight(self.sampled_cost - Fraction(delta, 2))
 
 
-def transform(inst: TreeInstance, sol: Solution, eps: float,
+def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
               params: TransformParams, seed: int
               ) -> tuple[TreeInstance, Solution, TransformReport]:
     """Apply the bottom-up grouping/shift/repack procedure to ``sol``."""
     rng = random.Random(seed)
     schedule = thresholds(inst.capacity, eps)
-    q = inst.capacity
     report = TransformReport(cost_before=sol.total_cost)
 
     # Working state: pickups per tour (physical tokens) and pads per tour.
     picks: list[dict[int, int]] = [t.as_dict() for t in sol.tours]
     pads: list[dict[int, int]] = [dict() for _ in sol.tours]
     n_orig = len(picks)
+    orig = coverage(inst, picks)
 
     # Sampling: each tour independently with probability eps; both copies of a
     # sampled tour are designated to one uniformly random visited level.
+    visited: list[set[int]] = [set() for _ in picks]
+    for v in range(1, inst.n):
+        for tid in orig[v]:
+            visited[tid].add(inst.depth[v])
     sampled_by_level: dict[int, list[int]] = defaultdict(list)
     for tid, t in enumerate(sol.tours):
-        if not t.pickups or rng.random() >= eps:
+        if not t.pickups or rng.random() >= eps or not visited[tid]:
             continue
-        visited = sorted({inst.depth[u] for v0, _ in t.pickups
-                          for u in _root_path(inst, v0)} - {1})
-        if not visited:
-            continue
-        level = rng.choice(visited)
+        level = rng.choice(sorted(visited[tid]))
         report.sampled_ids.append(tid)
-        report.sampled_cost += sol_cost_of(inst, picks[tid])
+        report.sampled_cost += tour_cost(inst, t)
         sampled_by_level[level].append(tid)
 
     # Extra-copy accumulators: copy_items[tid] = list of orphan units assigned
     # to sampled tour tid; each unit = (pickups dict, pads-at-v count, v).
     copy_items: dict[int, list[tuple[dict[int, int], int, int]]] = defaultdict(list)
-    used_at: dict[int, set[tuple[int, int]]] = defaultdict(set)
 
-    by_depth: dict[int, list[int]] = defaultdict(list)
-    for v in range(1, inst.n):
-        by_depth[inst.depth[v]].append(v)
+    def visit(v: int, here: dict[int, int]) -> None:
+        extras = sampled_by_level.get(inst.depth[v], [])
+        for view in _bucket_views(here, v, schedule, params.gamma,
+                                  params.groups):
+            if view.small:
+                continue
+            report.big_buckets += 1
+            # Hosts: sampled tours of this level whose own partial at v sat in
+            # this bucket in the input solution.
+            hosts = [tid for tid in extras if tid in orig[v]
+                     and schedule.bucket_of(orig[v][tid]) == view.bucket]
+            _apply_big_bucket(inst, picks, pads, view, here, hosts,
+                              copy_items)
 
-    orig_cov = _original_bucket_index(inst, sol, schedule)
-
-    for level in sorted(by_depth, reverse=True):
-        extras = sampled_by_level.get(level, [])
-        for v in sorted(by_depth[level]):
-            views = _bucket_views(inst, _merged(picks, pads), v, schedule,
-                                  params.gamma, params.groups)
-            for view in views:
-                if view.small:
-                    continue
-                report.big_buckets += 1
-                _apply_big_bucket(inst, picks, pads, view, v, report,
-                                  extras, copy_items, used_at, orig_cov)
+    coverage(inst, picks, visit)
 
     # Materialize extra copies with the two-bin split of the orphan units.
-    extra_tours, extra_pads = _split_copies(inst, sol, copy_items, q)
+    extra_tours, extra_pads = _split_copies(copy_items, inst.capacity)
 
     # Assemble the transformed instance and solution.
     pad_demand = [0] * inst.n
@@ -212,8 +244,8 @@ def transform(inst: TreeInstance, sol: Solution, eps: float,
         for v, c in pd.items():
             pad_demand[v] += c
             report.pad_tokens += c
-    all_picks = _merged(picks, pads) + [
-        _merge_two(p, pd) for p, pd in zip(extra_tours, extra_pads)]
+    all_picks = [_merge_two(p, pd) for p, pd in zip(picks + extra_tours,
+                                                     pads + extra_pads)]
     # Unused extra copies stay in the solution as empty, zero-cost tours.
     missing = 2 * len(report.sampled_ids) - len(extra_tours)
     all_picks.extend({} for _ in range(missing))
@@ -229,22 +261,6 @@ def transform(inst: TreeInstance, sol: Solution, eps: float,
     return inst2, sol2, report
 
 
-def _root_path(inst: TreeInstance, v: int):
-    while v != 0:
-        yield v
-        v = inst.parent[v]
-
-
-def sol_cost_of(inst: TreeInstance, pickups: dict[int, int]) -> Weight:
-    from .instance import pickup_set_cost
-
-    return pickup_set_cost(inst, pickups.keys())
-
-
-def _merged(picks, pads):
-    return [_merge_two(p, pd) for p, pd in zip(picks, pads)]
-
-
 def _merge_two(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for v, c in b.items():
@@ -252,53 +268,19 @@ def _merge_two(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _original_bucket_index(inst, sol, schedule):
-    """(tid, v) -> bucket of the tour's partial at v in the *input* solution."""
-    out: dict[tuple[int, int], int] = {}
-    for tid, t in enumerate(sol.tours):
-        picks = t.as_dict()
-        cov = dict(picks)
-        for v in reversed(inst.topo_order):
-            if v:
-                cov[inst.parent[v]] = cov.get(inst.parent[v], 0) + cov.get(v, 0)
-        for v, c in cov.items():
-            if c and v:
-                out[(tid, v)] = schedule.bucket_of(c)
-    return out
+def _apply_big_bucket(inst, picks, pads, view, here, hosts, copy_items):
+    """Shift bottoms one group down, pad to group maxima, orphan the last group.
 
-
-def _apply_big_bucket(inst, picks, pads, view, v, report, extras,
-                      copy_items, used_at, orig_cov):
-    """Shift bottoms one group down, pad to group maxima, orphan the last group."""
+    ``here`` is the coverage at ``view.node``; it ends at the new bottom sizes.
+    """
+    v = view.node
     sub = set(inst.subtree(v))
     g = len(view.groups)
     maxima = view.group_maxima
-    cov = dict(zip(view.tour_ids, view.coverages))
 
-    def bottom_of(tid):
-        phys = {u: c for u, c in picks[tid].items() if u in sub}
-        pad = {u: c for u, c in pads[tid].items() if u in sub}
-        return phys, pad
-
-    bottoms = {tid: bottom_of(tid) for tid in view.tour_ids}
-
-    def clear_bottom(tid):
-        for u in list(picks[tid]):
-            if u in sub:
-                del picks[tid][u]
-        for u in list(pads[tid]):
-            if u in sub:
-                del pads[tid][u]
-
-    def set_bottom(tid, phys, pad):
-        clear_bottom(tid)
-        for u, c in phys.items():
-            picks[tid][u] = picks[tid].get(u, 0) + c
-        for u, c in pad.items():
-            pads[tid][u] = pads[tid].get(u, 0) + c
-
-    def bottom_size(phys, pad):
-        return sum(phys.values()) + sum(pad.values())
+    bottoms = {tid: ({u: c for u, c in picks[tid].items() if u in sub},
+                     {u: c for u, c in pads[tid].items() if u in sub})
+               for tid in view.tour_ids}
 
     # Shift: group j receives the bottoms of group j-1 (position-wise), padded
     # up to h_max_{j-1}; group 1 receives empty bottoms; nulls give empty
@@ -313,13 +295,12 @@ def _apply_big_bucket(inst, picks, pads, view, v, report, extras,
                 new_bottoms[tid] = ({}, {})
                 continue
             phys, pad = bottoms[src]
-            size = bottom_size(phys, pad)
             want = maxima[j - 1]
             # Capacity safety: h_max_{j-1} <= h_min_j <= old bottom size.
-            assert want <= cov[tid], "shift map would violate capacity"
+            assert want <= here[tid], "shift map would violate capacity"
             pad = dict(pad)
-            if want > size:
-                pad[v] = pad.get(v, 0) + (want - size)
+            if want > here[src]:
+                pad[v] = pad.get(v, 0) + (want - here[src])
             new_bottoms[tid] = (phys, pad)
     for tid in view.groups[0]:
         if tid is not None:
@@ -333,26 +314,29 @@ def _apply_big_bucket(inst, picks, pads, view, v, report, extras,
         if tid is None:
             continue
         phys, pad = bottoms[tid]
-        extra_pad = maxima[-1] - bottom_size(phys, pad)
-        orphans.append((_merge_two(phys, pad), extra_pad))
+        orphans.append((_merge_two(phys, pad), maxima[-1] - here[tid]))
 
-    hosts = [tid for tid in extras
-             if orig_cov.get((tid, v)) == view.bucket
-             and (v, view.bucket) not in used_at[tid]]
     if len(hosts) < len(orphans):
         raise TransformInfeasible(
             f"level {inst.depth[v]}: only {len(hosts)} sampled hosts for "
             f"{len(orphans)} orphan units at node {v} bucket {view.bucket}",
             v, view.bucket)
     for (unit, extra_pad), host in zip(orphans, hosts):
-        used_at[host].add((v, view.bucket))
         copy_items[host].append((unit, extra_pad, v))
 
     for tid, (phys, pad) in new_bottoms.items():
-        set_bottom(tid, phys, pad)
+        for held, new in ((picks[tid], phys), (pads[tid], pad)):
+            for u in [u for u in held if u in sub]:
+                del held[u]
+            held.update(new)
+        size = sum(phys.values()) + sum(pad.values())
+        if size:
+            here[tid] = size
+        else:
+            del here[tid]
 
 
-def _split_copies(inst, sol, copy_items, q):
+def _split_copies(copy_items, q):
     """Two-bin split of each sampled tour's assigned orphan units."""
     tours: list[dict[int, int]] = []
     tour_pads: list[dict[int, int]] = []
@@ -406,20 +390,13 @@ def profile_complexity(inst: TreeInstance, sol: Solution,
     """Check the structured shape: small buckets few, big buckets few sizes."""
     distinct: dict[tuple[int, int], int] = {}
     violations: list[str] = []
-    picks = [t.as_dict() for t in sol.tours]
+    cov = coverage(inst, [t.as_dict() for t in sol.tours])
     for v in range(1, inst.n):
-        sub = set(inst.subtree(v))
-        per_bucket: dict[int, list[int]] = defaultdict(list)
-        for p in picks:
-            cov = sum(c for u, c in p.items() if u in sub)
-            if cov:
-                per_bucket[schedule.bucket_of(cov)].append(cov)
-        for b, covs in per_bucket.items():
-            d = len(set(covs))
+        shape = schedule.bucket_rule(cov[v].values(), params.gamma,
+                                     params.groups)
+        for b, (d, ok) in shape.items():
             distinct[(v, b)] = d
-            if len(covs) <= params.gamma:
-                continue
-            if d > params.groups:
+            if not ok:
                 violations.append(
                     f"node {v} bucket {b}: big bucket with {d} distinct sizes "
                     f"(> g={params.groups})")

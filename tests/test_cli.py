@@ -1,9 +1,14 @@
 import json
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
+from treecvrp import cli
 from treecvrp.cli import main
-from treecvrp.instance import load_instance, load_solution, save_instance, save_solution
+from treecvrp.instance import (TreeInstance, load_instance, load_solution,
+                               save_instance, save_solution)
+from treecvrp.structure import thresholds
 from treecvrp.exact import solve_exact
 from treecvrp.generate import generate
 
@@ -79,20 +84,16 @@ def test_bound(tmp_path):
     assert r.output.strip() == "6"
 
 
-def test_reduce_with_map(tmp_path):
+def test_reduce_lowers_height(tmp_path):
     inst_file = tmp_path / "inst.txt"
-    map_file = tmp_path / "map.txt"
     run("gen", "--shape", "path", "-n", "30", "-q", "3", "--seed", "2",
         "-o", str(inst_file))
-    r = run("reduce", str(inst_file), "--eps", "0.5",
-            "--map-file", str(map_file))
+    r = run("reduce", str(inst_file), "--eps", "0.5")
     assert r.exit_code == 0
     reduced = load_instance(r.output)
     original = load_instance(inst_file.read_text())
     assert reduced.height < original.height
-    lines = map_file.read_text().splitlines()
-    assert len(lines) == original.n
-    assert lines[0] == "map 0 0"
+    assert reduced.n == original.n
 
 
 def test_transform_reports_json(tmp_path):
@@ -133,6 +134,46 @@ def test_solve_reduce_height_round_trip(tmp_path):
     assert cost_reduced <= (1 + 3 * 0.5) * cost_plain
     from treecvrp.verify import check_feasible
     assert check_feasible(inst, load_solution(reduced.output)).ok
+
+
+@pytest.mark.parametrize("line", ["tour 1:1 1:2", "tour 1:x", "tour 1:-2"])
+def test_usage_error_on_bad_solution(tmp_path, line):
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    sol_file.write_text(f"{line}\ncost 2\n")
+    for cmd in ("verify", "transform"):
+        r = run(cmd, str(inst_file), str(sol_file))
+        assert r.exit_code == 2, r.output
+        assert "bad solution" in r.output
+
+
+@pytest.mark.parametrize("cmd, target", [
+    (["reduce"], "build_reduced_tree"),
+    (["solve", "--algo", "qptas"], "solve_structured"),
+    (["transform"], "transform"),
+])
+def test_eps_is_parsed_exactly(tmp_path, monkeypatch, cmd, target):
+    # with float eps 0.1, 170 * 1.1 = 187.00000000000003 rounds up to 188
+    inst = TreeInstance((-1, 0), (0, 1), (0, 1), 200)
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    sol_file.write_text(save_solution(solve_exact(inst)))
+    seen = []
+    real = getattr(cli, target)
+
+    def spy(*args, **kw):
+        seen.append(args[2] if target == "transform" else args[1])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, target, spy)
+    files = [str(inst_file)] + ([str(sol_file)] if target == "transform" else [])
+    r = run(cmd[0], *files, *cmd[1:], "--eps", "0.1")
+    assert r.exit_code == 0, r.output
+    (eps,) = seen
+    assert eps == Fraction(1, 10)
+    assert 187 in thresholds(200, eps).sigma
 
 
 def test_usage_error_on_bad_instance(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.exact import (
-    InfeasibleError, OracleLimits, OracleSizeError, merge_small_tours,
-    solve_exact, solve_exact_k_tours, solve_exact_naive)
-from treecvrp.instance import Solution, Tour, TreeInstance
+    InfeasibleError, OracleLimits, OracleSizeError, solve_exact,
+    solve_exact_k_tours, solve_exact_naive)
+from treecvrp.instance import TreeInstance
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
@@ -116,25 +116,3 @@ class TestKTours:
         with pytest.raises(OracleSizeError):
             solve_exact_k_tours(STAR, 5)
 
-
-def test_merge_small_tours():
-    sol = Solution.of(STAR, [Tour.of({1: 1}), Tour.of({2: 1}),
-                             Tour.of({3: 1})])
-    merged = merge_small_tours(STAR, sol)
-    assert sum(t.load for t in merged.tours) == 3
-    assert all(t.load <= STAR.capacity for t in merged.tours)
-    # Q=2: loads 1,1,1 -> at most one merge pair
-    assert len(merged.tours) == 2
-
-
-def test_merge_preserves_optimal_cost():
-    # on an optimum, merging can neither cheapen (it was optimal) nor cost
-    # more (a merged tour spans a subset of the union's edges)
-    for seed in range(20):
-        inst = random_instance(seed, max_n=7, unit_demand=False, max_tokens=8)
-        opt = solve_exact(inst)
-        merged = merge_small_tours(inst, opt)
-        assert merged.total_cost == opt.total_cost
-        assert check_feasible(inst, merged).ok
-        small = [t for t in merged.tours if 2 * t.load <= inst.capacity]
-        assert len(small) <= 1

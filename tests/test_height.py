@@ -7,7 +7,7 @@ from treecvrp.exact import solve_exact
 from treecvrp.generate import generate
 from treecvrp.height import (
     build_reduced_tree, decompose_paths, lift_solution, path_length_trigger,
-    project_solution, select_anchors)
+    select_anchors)
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.verify import check_feasible
 
@@ -159,7 +159,7 @@ class TestProjectLift:
             inst = generate("path", 20, 3, "unit", seed)
             rt = build_reduced_tree(inst, 0.5)
             sol = itp_solve(inst)
-            proj = project_solution(rt, sol)
+            proj = Solution.of(rt.tree, sol.tours)  # same node ids
             assert proj.total_cost <= sol.total_cost
 
     def test_lift_round_trips_feasibility(self):
@@ -175,7 +175,7 @@ class TestProjectLift:
         inst = generate("path", 20, 3, "unit", 1)
         rt = build_reduced_tree(inst, 0.5)
         sol = itp_solve(rt.tree)
-        back = project_solution(rt, lift_solution(rt, sol))
+        back = Solution.of(rt.tree, lift_solution(rt, sol).tours)
         assert back.canonical() == sol.canonical()
         assert back.total_cost == sol.total_cost
 

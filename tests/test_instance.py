@@ -226,6 +226,12 @@ def test_solution_round_trip():
     assert save_solution(again) == save_solution(sol)
 
 
+@pytest.mark.parametrize("line", ["tour 1:1 1:2", "tour 1:x", "tour 1:-2"])
+def test_load_solution_rejects_bad_pickups(line):
+    with pytest.raises(InstanceError):
+        load_solution(f"{line}\ncost 2\n")
+
+
 def test_load_instance_rejects_garbage():
     with pytest.raises(InstanceError):
         load_instance("not a header\n")

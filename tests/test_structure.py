@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from treecvrp.baselines import itp_solve
 from treecvrp.exact import solve_exact
-from treecvrp.generate import stress_instance
+from treecvrp.generate import generate, stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import (
-    TransformInfeasible, TransformParams, bucket_partial_tours,
-    partial_coverage, profile_complexity, thresholds, transform)
+    TransformInfeasible, TransformParams, bucket_partial_tours, coverage,
+    profile_complexity, thresholds, transform)
 from treecvrp.verify import check_feasible
 
 
@@ -69,6 +71,21 @@ class TestThresholds:
         with pytest.raises(ValueError):
             sched.bucket_of(11)
 
+    def test_bucket_rule_by_hand(self):
+        sched = thresholds(10, 0.5)  # sigma = 1,2,3,5,8,10
+        # buckets: 5,6,7 -> 3 (three distinct); 8,8 -> 4; 1 -> 0
+        sizes = [5, 8, 6, 1, 8, 7]
+        assert sched.bucket_rule(sizes, gamma=2, groups=2) == {
+            3: (3, False), 4: (1, True), 0: (1, True)}
+        # three tours in bucket 3 are small once gamma reaches 3
+        assert sched.bucket_rule(sizes, gamma=3, groups=2)[3] == (3, True)
+        # or admissible with g = 3 distinct sizes
+        assert sched.bucket_rule(sizes, gamma=1, groups=3)[3] == (3, True)
+        # g = 0 admits only buckets of at most gamma tours
+        assert sched.bucket_rule([8, 8], gamma=1, groups=0) == {4: (1, False)}
+        assert sched.bucket_rule([8, 8], gamma=2, groups=0) == {4: (1, True)}
+        assert sched.bucket_rule([], gamma=0, groups=0) == {}
+
 
 class TestParams:
     def test_default_formulas(self):
@@ -85,8 +102,21 @@ class TestBucketViews:
     def test_partial_coverage(self):
         inst = hub_instance()
         sol = hub_solution(inst)
-        assert partial_coverage(inst, sol.tours[0].as_dict(), 1) == 3
-        assert partial_coverage(inst, sol.tours[0].as_dict(), 2) == 1
+        cov = coverage(inst, [t.as_dict() for t in sol.tours])
+        assert cov[1] == {0: 3, 1: 3, 2: 3, 3: 3}
+        assert cov[2] == {0: 1}  # leaf 2 sits in tour 0 only
+        assert cov[5] == {1: 1}
+
+    def test_coverage_matches_subtree_scan(self):
+        inst = generate("random", 40, 4, "uniform", 3)
+        picks = [t.as_dict() for t in itp_solve(inst).tours]
+        cov = coverage(inst, picks)
+        for v in range(1, inst.n):
+            sub = set(inst.subtree(v))
+            scan = {tid: sum(c for u, c in p.items() if u in sub)
+                    for tid, p in enumerate(picks)}
+            assert cov[v] == {tid: c for tid, c in scan.items() if c}
+            assert list(cov[v]) == sorted(cov[v])
 
     def test_small_bucket_classification(self):
         inst = hub_instance()
@@ -229,6 +259,18 @@ class TestTransform:
                 assert 0 <= exc.node < inst.n
                 break
         assert raised  # at this scale some seeds must lack hosts
+
+    def test_savings_exact_on_fractional_weights(self):
+        # delta = 2/3 here; halving it with // used to read savings 24, the
+        # whole sampled cost, and broke the identity below
+        inst = generate("random", 14, 3, "unit", 42)
+        inst = inst.replace(weight=tuple(Fraction(w, 3) for w in inst.weight))
+        sol = itp_solve(inst)
+        _, sol2, rep = transform(inst, sol, 0.5, TransformParams(1, 2), 42)
+        assert rep.cost_after - rep.cost_before == Fraction(2, 3)
+        assert rep.shortcut_savings == rep.sampled_cost - Fraction(1, 3)
+        assert sol2.total_cost - sol.total_cost == \
+            2 * (rep.sampled_cost - rep.shortcut_savings)
 
     def test_deterministic_per_seed(self):
         inst = stress_instance()
