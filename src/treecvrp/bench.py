@@ -20,12 +20,12 @@ import json
 import time
 from fractions import Fraction
 
-from .baselines import itp_solve
+from .baselines import flow_lower_bound, itp_solve
 from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
 from .exact import InfeasibleError, OracleSizeError, solve_exact
 from .generate import generate
-from .verify import ratio_report
+from .verify import _ratio_against
 
 CSV_VERSION = 1
 COLUMNS = ["shape", "n", "Q", "demand_model", "seed", "algorithm", "eps",
@@ -35,9 +35,7 @@ COLUMNS = ["shape", "n", "Q", "demand_model", "seed", "algorithm", "eps",
 ALGORITHMS = ("exact", "itp", "bicriteria", "qptas")
 
 
-def _solve(algo: str, inst, eps: float, stats: dict):
-    if algo == "exact":
-        return solve_exact(inst)
+def _solve(algo: str, inst, eps: Fraction, stats: dict):
     if algo == "itp":
         return itp_solve(inst)
     if algo == "bicriteria":
@@ -46,6 +44,17 @@ def _solve(algo: str, inst, eps: float, stats: dict):
         return solve_structured(inst, eps, DPParams.defaults(inst, eps),
                                 stats=stats)
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _attempt(fn, *args):
+    """``(result, ms)`` of one call, or ``(error, None)`` if a solver fails."""
+    start = time.perf_counter()
+    try:
+        result = fn(*args)
+    except (OracleSizeError, InfeasibleError, ResourceLimitError,
+            NoStructuredSolutionError) as exc:
+        return exc, None
+    return result, (time.perf_counter() - start) * 1000
 
 
 def load_config(text: str) -> dict:
@@ -60,7 +69,7 @@ def load_config(text: str) -> dict:
 
 
 def run_suite(config: dict, timing: bool = False) -> str:
-    eps = float(config.get("eps", 0.5))
+    eps = Fraction(str(config.get("eps", 0.5)))
     rows = []
     for spec in config["instances"]:
         shape = spec["shape"]
@@ -68,9 +77,10 @@ def run_suite(config: dict, timing: bool = False) -> str:
         model = spec.get("demand_model", "unit")
         for seed in spec.get("seeds", [0]):
             inst = generate(shape, n, q, model, int(seed))
-            for algo in config["algorithms"]:
-                rows.append(_run_row(inst, shape, n, q, model, int(seed),
-                                     algo, eps, timing))
+            key = dict(shape=shape, n=n, Q=q, demand_model=model,
+                       seed=int(seed), eps=float(eps))
+            rows.extend(_instance_rows(inst, key, config["algorithms"], eps,
+                                       timing))
     rows.sort(key=lambda r: (r["shape"], r["n"], r["Q"], r["demand_model"],
                              r["seed"], r["algorithm"]))
     rows.extend(_summaries(rows))
@@ -81,30 +91,41 @@ def run_suite(config: dict, timing: bool = False) -> str:
     return out.getvalue()
 
 
-def _run_row(inst, shape, n, q, model, seed, algo, eps, timing) -> dict:
-    row = dict(shape=shape, n=n, Q=q, demand_model=model, seed=seed,
-               algorithm=algo, eps=eps, cost="", reference="", ref_value="",
-               ratio="", states="", wall_ms="", error="")
-    stats: dict = {}
-    start = time.perf_counter()
-    try:
-        sol = _solve(algo, inst, eps, stats)
-    except (OracleSizeError, InfeasibleError, ResourceLimitError,
-            NoStructuredSolutionError) as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    if timing:
-        row["wall_ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
-    rep = ratio_report(inst, sol, "oracle")
-    row["cost"] = rep.cost
-    row["reference"] = rep.reference
-    row["ref_value"] = rep.reference_value
-    row["ratio"] = str(rep.ratio) if rep.ratio is not None else ""
-    if "states" in stats:
-        row["states"] = stats["states"]
-    if not rep.feasible:
-        row["error"] = "infeasible solution"
-    return row
+def _instance_rows(inst, key, algorithms, eps, timing) -> list[dict]:
+    """One row per algorithm, every one against a single oracle solve.
+
+    The optimum is the ``exact`` row's solution and every row's reference;
+    past the oracle's size limits the flow lower bound is the reference.
+    """
+    oracle = _attempt(solve_exact, inst)
+    opt = oracle[0]
+    if isinstance(opt, OracleSizeError):
+        reference = ("lower_bound", flow_lower_bound(inst), True)
+    else:
+        reference = ("oracle", opt.total_cost, False)
+    rows = []
+    for algo in algorithms:
+        stats: dict = {}
+        sol, ms = (oracle if algo == "exact"
+                   else _attempt(_solve, algo, inst, eps, stats))
+        row = dict(key, algorithm=algo, cost="", reference="", ref_value="",
+                   ratio="", states="", wall_ms="", error="")
+        rows.append(row)
+        if isinstance(sol, Exception):
+            row["error"] = f"{type(sol).__name__}: {sol}"
+            continue
+        if timing:
+            row["wall_ms"] = f"{ms:.1f}"
+        rep = _ratio_against(inst, sol, *reference)
+        row["cost"] = rep.cost
+        row["reference"] = rep.reference
+        row["ref_value"] = rep.reference_value
+        row["ratio"] = str(rep.ratio) if rep.ratio is not None else ""
+        if "states" in stats:
+            row["states"] = stats["states"]
+        if not rep.feasible:
+            row["error"] = "infeasible solution"
+    return rows
 
 
 def _summaries(rows) -> list[dict]:

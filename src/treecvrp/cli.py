@@ -29,8 +29,16 @@ from .verify import check_feasible
 EXIT_FAILURE = 1
 EXIT_RESOURCE = 3
 
+
+def _positive(ctx, param, value: Fraction) -> Fraction:
+    if value <= 0:
+        raise click.BadParameter(f"must be positive, got {value}")
+    return value
+
+
 # Parsed to an exact Fraction, so that "0.1" is 1/10 and not the nearest float.
-eps_option = click.option("--eps", type=Fraction, default="0.5")
+eps_option = click.option("--eps", type=Fraction, default="0.5",
+                          callback=_positive)
 
 
 def _read(path: str) -> str:
@@ -190,7 +198,8 @@ def transform_cmd(instance, solution, eps, seed, gamma, groups, instance_out,
         "sampled_ids": report.sampled_ids,
         "big_buckets": report.big_buckets,
     }
-    click.echo(json.dumps(payload))
+    # A fractional weight prints as "p/q", its spelling in the file format.
+    click.echo(json.dumps(payload, default=str))
 
 
 @main.command("bench")

@@ -77,13 +77,16 @@ def solve_exact(inst: TreeInstance, limits: OracleLimits = DEFAULT_LIMITS) -> So
     if total == 0:
         return Solution.of(inst, ())
 
-    group_cost_cache: dict[tuple[int, ...], int] = {}
+    # Keyed by the group itself, so a lookup builds no node tuple; groups
+    # with the same nodes but other counts are costed once each.
+    group_cost_cache: dict[tuple[tuple[int, int], ...], int] = {}
 
     def group_cost(group) -> int:
-        key = tuple(v for v, _ in group)
-        if key not in group_cost_cache:
-            group_cost_cache[key] = pickup_set_cost(inst, key)
-        return group_cost_cache[key]
+        cost = group_cost_cache.get(group)
+        if cost is None:
+            cost = group_cost_cache[group] = pickup_set_cost(
+                inst, [v for v, _ in group])
+        return cost
 
     memo: dict[tuple[int, ...], tuple[int, tuple | None]] = {}
 

@@ -70,7 +70,6 @@ def ratio_report(inst: TreeInstance, sol: Solution,
 
     if reference not in ("oracle", "lower_bound"):
         raise ValueError(f"unknown reference {reference!r}")
-    rep = check_feasible(inst, sol)
     fell_back = False
     kind = reference
     if reference == "oracle":
@@ -82,6 +81,13 @@ def ratio_report(inst: TreeInstance, sol: Solution,
             ref_value = flow_lower_bound(inst)
     else:
         ref_value = flow_lower_bound(inst)
+    return _ratio_against(inst, sol, kind, ref_value, fell_back)
+
+
+def _ratio_against(inst: TreeInstance, sol: Solution, kind: str,
+                   ref_value: Weight, fell_back: bool) -> RatioReport:
+    """Report ``sol`` against a reference value the caller already holds."""
+    rep = check_feasible(inst, sol)
     ratio = Fraction(rep.recomputed_cost) / ref_value if ref_value else None
     return RatioReport(rep.recomputed_cost, kind, ref_value, ratio,
                        fell_back, rep.ok)

@@ -1,9 +1,12 @@
 import csv
 import io
+import time
+from fractions import Fraction
 
 import pytest
 
-from treecvrp.bench import COLUMNS, load_config, run_suite
+from treecvrp import bench, exact
+from treecvrp.bench import ALGORITHMS, COLUMNS, load_config, run_suite
 
 SMALL = {
     "instances": [
@@ -13,6 +16,44 @@ SMALL = {
     "algorithms": ["exact", "itp", "bicriteria", "qptas"],
     "eps": 0.5,
 }
+
+
+# The CSV of SMALL, pinned: a change in how references are found must not
+# move a reference or a ratio.
+SMALL_CSV = """\
+shape,n,Q,demand_model,seed,algorithm,eps,cost,reference,ref_value,ratio,states,wall_ms,error
+random,6,3,unit,0,bicriteria,0.5,30,oracle,30,1,12,,
+random,6,3,unit,0,exact,0.5,30,oracle,30,1,,,
+random,6,3,unit,0,itp,0.5,30,oracle,30,1,,,
+random,6,3,unit,0,qptas,0.5,30,oracle,30,1,12,,
+random,6,3,unit,1,bicriteria,0.5,68,oracle,68,1,21,,
+random,6,3,unit,1,exact,0.5,68,oracle,68,1,,,
+random,6,3,unit,1,itp,0.5,76,oracle,68,19/17,,,
+random,6,3,unit,1,qptas,0.5,68,oracle,68,1,21,,
+star,4,2,unit,7,bicriteria,0.5,6,oracle,6,1,3,,
+star,4,2,unit,7,exact,0.5,6,oracle,6,1,,,
+star,4,2,unit,7,itp,0.5,6,oracle,6,1,,,
+star,4,2,unit,7,qptas,0.5,6,oracle,6,1,3,,
+summary,,,,,bicriteria,,,,,1,,,
+summary,,,,,exact,,,,,1,,,
+summary,,,,,itp,,,,,53/51,,,
+summary,,,,,qptas,,,,,1,,,
+"""
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Instances passed to the oracle, by bench or by any other module."""
+    calls = []
+    real = exact.solve_exact
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "solve_exact", counted)
+    monkeypatch.setattr(exact, "solve_exact", counted)
+    return calls
 
 
 def rows_of(text):
@@ -31,6 +72,21 @@ def test_byte_identical_reruns():
     assert run_suite(SMALL) == run_suite(SMALL)
 
 
+def test_small_csv_is_pinned():
+    assert run_suite(SMALL) == SMALL_CSV
+
+
+@pytest.mark.parametrize("algorithms", [list(ALGORITHMS),
+                                        ["itp", "bicriteria", "qptas"]])
+def test_one_oracle_solve_per_instance(oracle_calls, algorithms):
+    rows = rows_of(run_suite(dict(SMALL, algorithms=algorithms)))
+    assert len(oracle_calls) == 3
+    assert len({id(inst) for inst in oracle_calls}) == 3
+    data = [r for r in rows if r["shape"] != "summary"]
+    assert len(data) == 3 * len(algorithms)
+    assert all(r["reference"] == "oracle" for r in data)
+
+
 def test_wall_ms_empty_without_timing():
     rows = rows_of(run_suite(SMALL))
     assert all(r["wall_ms"] == "" for r in rows)
@@ -39,7 +95,23 @@ def test_wall_ms_empty_without_timing():
 def test_timing_fills_wall_ms():
     rows = rows_of(run_suite(SMALL, timing=True))
     data = [r for r in rows if r["shape"] != "summary" and not r["error"]]
+    assert {r["algorithm"] for r in data} == set(ALGORITHMS)
     assert all(r["wall_ms"] for r in data)
+
+
+def test_exact_wall_ms_is_the_one_oracle_solve(monkeypatch):
+    real = exact.solve_exact
+
+    def slow(inst):
+        time.sleep(0.05)
+        return real(inst)
+
+    monkeypatch.setattr(bench, "solve_exact", slow)
+    cfg = dict(SMALL, instances=SMALL["instances"][1:])
+    rows = rows_of(run_suite(cfg, timing=True))
+    (exact_row,) = [r for r in rows if r["algorithm"] == "exact"
+                    and r["shape"] != "summary"]
+    assert float(exact_row["wall_ms"]) >= 50
 
 
 def test_exact_summary_ratio_is_one():
@@ -56,7 +128,7 @@ def test_rows_sorted_by_key():
     assert keys == sorted(keys)
 
 
-def test_oversized_oracle_recorded_not_raised():
+def test_oversized_oracle_recorded_not_raised(oracle_calls):
     cfg = {
         "instances": [{"shape": "random", "n": 30, "Q": 3,
                        "demand_model": "uniform", "seeds": [0]}],
@@ -70,6 +142,7 @@ def test_oversized_oracle_recorded_not_raised():
                and r["shape"] != "summary"][0]
     assert itp_row["error"] == ""
     assert itp_row["reference"] == "lower_bound"
+    assert len(oracle_calls) == 1
 
 
 def test_columns_are_versioned_contract():
@@ -82,3 +155,20 @@ def test_load_config_validates():
         load_config('{"instances": []}')
     with pytest.raises(ValueError):
         load_config('{"instances": [], "algorithms": ["simplex"]}')
+
+
+def test_eps_reaches_solvers_exactly(monkeypatch):
+    seen = {}
+    for name in ("solve_bicriteria", "solve_structured"):
+        real = getattr(bench, name)
+
+        def spy(inst, eps, *args, name=name, real=real, **kwargs):
+            seen.setdefault(name, set()).add(eps)
+            return real(inst, eps, *args, **kwargs)
+
+        monkeypatch.setattr(bench, name, spy)
+    rows = rows_of(run_suite(dict(SMALL, eps=0.1)))
+    assert seen == {"solve_bicriteria": {Fraction(1, 10)},
+                    "solve_structured": {Fraction(1, 10)}}
+    data = [r for r in rows if r["shape"] != "summary"]
+    assert {r["eps"] for r in data} == {"0.1"}

@@ -113,6 +113,25 @@ def test_transform_reports_json(tmp_path):
         assert "error" in payload
 
 
+def test_transform_json_on_fractional_weights(tmp_path):
+    inst = generate("random", 14, 3, "unit", 42)
+    inst = inst.replace(weight=tuple(Fraction(w, 3) for w in inst.weight))
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    from treecvrp.baselines import itp_solve
+    sol = itp_solve(inst)
+    sol_file.write_text(save_solution(sol))
+    r = run("transform", str(inst_file), str(sol_file), "--gamma", "1",
+            "-g", "2", "--seed", "42")
+    assert r.exit_code == 0, r.output
+    payload = json.loads(r.output)
+    assert payload["cost_before"] == sol.total_cost == 56  # int stays int
+    assert payload["cost_after"] == "170/3"  # 56 + 2/3, as the file spells it
+    assert Fraction(170, 3) - 56 == 2 * (Fraction(payload["sampled_cost"])
+                                         - Fraction(payload["shortcut_savings"]))
+
+
 def test_solve_resource_exit_code(tmp_path):
     inst_file = tmp_path / "inst.txt"
     inst_file.write_text(save_instance(generate("random", 30, 4, "uniform", 0)))
@@ -174,6 +193,21 @@ def test_eps_is_parsed_exactly(tmp_path, monkeypatch, cmd, target):
     (eps,) = seen
     assert eps == Fraction(1, 10)
     assert 187 in thresholds(200, eps).sigma
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "-1/2"])
+@pytest.mark.parametrize("cmd", [["reduce"], ["solve", "--algo", "qptas"],
+                                 ["transform"]])
+def test_nonpositive_eps_is_usage_error(tmp_path, cmd, eps):
+    inst = generate("star", 4, 2, "unit", 7)
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    sol_file.write_text(save_solution(solve_exact(inst)))
+    files = [str(inst_file)] + ([str(sol_file)] if cmd == ["transform"] else [])
+    r = run(cmd[0], *files, *cmd[1:], "--eps", eps)
+    assert r.exit_code == 2, r.output
+    assert "must be positive" in r.output
 
 
 def test_usage_error_on_bad_instance(tmp_path):
