@@ -1,23 +1,21 @@
-"""Capacitated vehicle routing on rooted edge-weighted trees."""
+"""Capacitated vehicle routing on rooted trees."""
 
 from .baselines import flow_lower_bound, itp_solve
-from .dp import (DPParams, check_consistency, solve_bicriteria,
-                 solve_structured)
-from .exact import solve_exact, solve_exact_k_tours, solve_exact_naive
+from .dp import DPParams, solve_bicriteria, solve_structured
+from .exact import solve_exact, solve_exact_naive
 from .generate import generate
 from .height import build_reduced_tree
 from .instance import (Solution, Tour, TreeInstance, load_instance,
                        load_solution, normalize_demands, save_instance,
-                       save_solution, scale_weights)
+                       save_solution)
 from .structure import TransformParams, thresholds, transform
 from .verify import check_feasible, ratio_report
 
 __all__ = [
     "DPParams", "Solution", "Tour", "TransformParams", "TreeInstance",
-    "build_reduced_tree", "check_consistency", "check_feasible",
-    "flow_lower_bound", "generate", "itp_solve", "load_instance",
-    "load_solution", "normalize_demands", "ratio_report", "save_instance",
-    "save_solution", "scale_weights", "solve_bicriteria", "solve_exact",
-    "solve_exact_k_tours", "solve_exact_naive", "solve_structured",
-    "thresholds", "transform",
+    "build_reduced_tree", "check_feasible", "flow_lower_bound", "generate",
+    "itp_solve", "load_instance", "load_solution", "normalize_demands",
+    "ratio_report", "save_instance", "save_solution", "solve_bicriteria",
+    "solve_exact", "solve_exact_naive", "solve_structured", "thresholds",
+    "transform",
 ]

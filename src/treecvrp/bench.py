@@ -23,7 +23,7 @@ from fractions import Fraction
 from .baselines import flow_lower_bound, itp_solve
 from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
-from .exact import InfeasibleError, OracleSizeError, solve_exact
+from .exact import OracleSizeError, solve_exact
 from .generate import generate
 from .verify import _ratio_against
 
@@ -51,7 +51,7 @@ def _attempt(fn, *args):
     start = time.perf_counter()
     try:
         result = fn(*args)
-    except (OracleSizeError, InfeasibleError, ResourceLimitError,
+    except (OracleSizeError, ResourceLimitError,
             NoStructuredSolutionError) as exc:
         return exc, None
     return result, (time.perf_counter() - start) * 1000
@@ -65,6 +65,13 @@ def load_config(text: str) -> dict:
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
+    eps = config.get("eps", 0.5)
+    try:
+        positive = Fraction(str(eps)) > 0
+    except (ValueError, ZeroDivisionError):
+        positive = False
+    if not positive:
+        raise ValueError(f"eps must be a positive number, got {eps!r}")
     return config
 
 

@@ -82,7 +82,7 @@ def gen(shape, n, capacity, demand_model, seed, output):
 @eps_option
 @click.option("--gamma", type=int, default=None)
 @click.option("--groups", "-g", type=int, default=None)
-@click.option("--pad-cap", type=int, default=0)
+@click.option("--pad-cap", type=click.IntRange(min=0), default=0)
 @click.option("--reduce-height", is_flag=True,
               help="Solve on the height-reduced tree and lift the result.")
 @click.option("--max-tokens", type=int, default=14,

@@ -81,11 +81,14 @@ class DPParams:
 
 @dataclass(frozen=True)
 class _Build:
-    """One partial tour: stored size plus its physical and pad pickups."""
+    """One partial tour: stored size plus its physical pickups.
+
+    Pads are not stored: in ``solve_structured`` a tour's pads are its size
+    minus the tokens in ``phys``.
+    """
 
     size: int
     phys: tuple[tuple[int, int], ...] = ()
-    pads: tuple[tuple[int, int], ...] = ()
 
 
 # table: profile key (sorted size tuple) -> (cost, tuple[_Build, ...])
@@ -143,8 +146,7 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
                     merged = cur[s].size + cb.size
                     if merged > capacity:
                         continue
-                    nb = _Build(merged, cur[s].phys + cb.phys,
-                                cur[s].pads + cb.pads)
+                    nb = _Build(merged, cur[s].phys + cb.phys)
                     assign(i + 1, cur[:s] + (nb,) + cur[s + 1:],
                            used | {s}, s)
                 # keep separate (choice n_acc, repeatable)
@@ -172,7 +174,7 @@ def distribute_tokens(table: Table, v: int, phys_tokens: int, capacity: int,
     Existing tours may each take any number of tokens up to their remaining
     room; leftover tokens spawn new tours (each nonempty, <= capacity). The
     physical tokens are handed out first in assignment order; the labeling
-    does not affect the DP value, only which pickups get stripped as pads.
+    does not affect the DP value, only which tokens are physical pickups.
     """
     out: Table = {}
     for cost, builds in table.values():
@@ -191,11 +193,7 @@ def distribute_tokens(table: Table, v: int, phys_tokens: int, capacity: int,
                         for p in parts:
                             ph = min(p, pl)
                             pl -= ph
-                            pd = p - ph
-                            born.append(_Build(
-                                p,
-                                ((v, ph),) if ph else (),
-                                ((v, pd),) if pd else ()))
+                            born.append(_Build(p, ((v, ph),) if ph else ()))
                         _put(out, cur + tuple(born), cost)
                     return
                 b = cur[i]
@@ -206,10 +204,8 @@ def distribute_tokens(table: Table, v: int, phys_tokens: int, capacity: int,
                 for take in range(cap + 1):
                     if take:
                         ph = min(take, phys_left)
-                        pd = take - ph
                         nb = _Build(b.size + take,
-                                    b.phys + (((v, ph),) if ph else ()),
-                                    b.pads + (((v, pd),) if pd else ()))
+                                    b.phys + (((v, ph),) if ph else ()))
                         give(i + 1, left - take, phys_left - ph,
                              cur[:i] + (nb,) + cur[i + 1:], take)
                     else:
@@ -322,7 +318,7 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
     def node_filter(acc: Table) -> Table:
         out: Table = {}
         for cost, builds in acc.values():
-            rounded = tuple(_Build(_round_down(b.size, sigma), b.phys, b.pads)
+            rounded = tuple(_Build(_round_down(b.size, sigma), b.phys)
                             for b in builds)
             _put(out, rounded, cost)
         return out
@@ -341,8 +337,13 @@ def solve_structured(inst: TreeInstance, eps: float = 0.5,
 
     With generous parameters (gamma above the tour count) this is the exact
     optimum; with tight parameters the cost can exceed it, but the returned
-    solution is always feasible. Pad tokens the DP added internally are
-    stripped before returning.
+    solution is always feasible.
+
+    With ``params.pad_cap > 0`` a solution also counts as structured if
+    padding makes it so. Pads are artificial tokens added at a node, at most
+    ``pad_cap`` per node, up to the capacity of each tour. They may raise any
+    tour's size, across a bucket threshold too, and the raised size counts at
+    that node and at every node above it. Pads are stripped before returning.
     """
     if params is None:
         params = DPParams.generous(inst, eps)
@@ -358,56 +359,3 @@ def solve_structured(inst: TreeInstance, eps: float = 0.5,
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})
     return sol
-
-
-# ---------------------------------------------------------------------------
-# consistency table
-
-
-def check_consistency(o_v: int, z_v: tuple[int, ...], z1: tuple[int, ...],
-                      z2: tuple[int, ...],
-                      _memo: dict | None = None) -> bool:
-    """Can the tours of z1 and z2 combine into the tours of z_v?
-
-    Each z_v tour absorbs at most one tour from z1 and at most one from z2,
-    plus o_c >= 0 extra tokens at the node; every z1/z2 tour must be absorbed
-    and the extra tokens must total exactly o_v. Vectors are tour-size
-    multisets (any order).
-    """
-    if o_v < 0:
-        return False
-    memo = _memo if _memo is not None else {}
-    state = (o_v, tuple(sorted(z_v)), tuple(sorted(z1)), tuple(sorted(z2)))
-    return _consistent(state, memo)
-
-
-def _consistent(state, memo) -> bool:
-    if state in memo:
-        return memo[state]
-    o_v, z_v, z1, z2 = state
-    if not z_v:
-        res = o_v == 0 and not z1 and not z2
-        memo[state] = res
-        return res
-    t_v, rest_v = z_v[0], z_v[1:]
-    res = False
-    for i in range(-1, len(z1)):
-        if i > 0 and z1[i] == z1[i - 1]:
-            continue  # identical left tours are interchangeable
-        a = z1[i] if i >= 0 else 0
-        r1 = z1[:i] + z1[i + 1:] if i >= 0 else z1
-        for j in range(-1, len(z2)):
-            if j > 0 and z2[j] == z2[j - 1]:
-                continue
-            b = z2[j] if j >= 0 else 0
-            o_c = t_v - a - b
-            if o_c < 0 or o_c > o_v:
-                continue
-            r2 = z2[:j] + z2[j + 1:] if j >= 0 else z2
-            if _consistent((o_v - o_c, rest_v, r1, r2), memo):
-                res = True
-                break
-        if res:
-            break
-    memo[state] = res
-    return res

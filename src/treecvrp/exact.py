@@ -8,9 +8,6 @@ Two independent implementations cross-validate each other in the test suite:
 * ``solve_exact_naive`` -- plain recursive partition enumeration over
   individual tokens, capped at 9 tokens. Deliberately shares no code with the
   DP beyond the instance types.
-
-``solve_exact_k_tours`` is the few-tours DP: per-node states are vectors of
-per-tour coverage counts, children combined by convolution.
 """
 
 from __future__ import annotations
@@ -25,13 +22,15 @@ class OracleSizeError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """No feasible solution under the given restrictions."""
+    """No feasible solution under the given restrictions.
+
+    No solver here raises it; the name stays for callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
 class OracleLimits:
     max_tokens: int = 14
-    max_tours: int = 4
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -169,76 +168,3 @@ def solve_exact_naive(inst: TreeInstance, max_tokens: int = 9) -> Solution:
     if best[0] is None:
         return Solution.of(inst, ())
     return best[0][2]
-
-
-def solve_exact_k_tours(inst: TreeInstance, d: int,
-                        limits: OracleLimits = DEFAULT_LIMITS) -> Solution:
-    """Optimum among solutions with at most ``d`` tours."""
-    if d > limits.max_tours:
-        raise OracleSizeError(f"{d} tours exceeds oracle limit {limits.max_tours}")
-    q = inst.capacity
-    if inst.total_demand > d * q:
-        raise InfeasibleError(
-            f"total demand {inst.total_demand} > {d} tours x Q={q}")
-
-    def compositions(total: int):
-        """All ways to split `total` tokens over d tours, each part <= Q."""
-        out = []
-
-        def rec(i, left, acc):
-            if i == d:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            for c in range(min(left, q) + 1):
-                acc.append(c)
-                rec(i + 1, left - c, acc)
-                acc.pop()
-
-        rec(0, total, [])
-        return out
-
-    # table[v]: state -> (cost, witness); witness = (own composition, child states)
-    table: dict[int, dict] = {}
-    for v in reversed(inst.topo_order):
-        cur: dict = {}
-        for comp in compositions(inst.demand[v]):
-            cur[comp] = (0, (comp, ()))
-        for child in inst.children[v]:
-            sub = table[child]
-            nxt: dict = {}
-            for s1, (c1, w1) in cur.items():
-                for s2, (c2, _) in sub.items():
-                    merged = tuple(a + b for a, b in zip(s1, s2))
-                    if any(x > q for x in merged):
-                        continue
-                    cost = c1 + c2
-                    prev = nxt.get(merged)
-                    if prev is None or cost < prev[0]:
-                        nxt[merged] = (cost, (w1[0], w1[1] + ((child, s2),)))
-            cur = nxt
-        if v != 0:
-            w_e = inst.weight[v]
-            cur = {s: (c + 2 * w_e * sum(1 for x in s if x), w)
-                   for s, (c, w) in cur.items()}
-        table[v] = cur
-
-    root = table[0]
-    if not root:
-        raise InfeasibleError("no feasible assignment")
-    best_state = min(root, key=lambda s: (root[s][0], s))
-    pickups: list[dict[int, int]] = [dict() for _ in range(d)]
-
-    def collect(v: int, state):
-        comp, kids = table[v][state][1]
-        for i, c in enumerate(comp):
-            if c:
-                pickups[i][v] = c
-        for child, cs in kids:
-            collect(child, cs)
-
-    # Recompute witnesses along the chosen path: table kept full witnesses.
-    collect(0, best_state)
-    tours = [Tour.of(p) for p in pickups if p]
-    return Solution.of(inst, tours)
-

@@ -1,16 +1,15 @@
-"""Rooted-tree CVRP instances, tours, solutions, file I/O and preprocessing.
+"""Rooted-tree CVRP instances, tours, solutions, file I/O and demand peeling.
 
-Node 0 is always the depot. Edge weights are non-negative integers after
-preprocessing; raw instances may carry non-negative rationals (``Fraction``).
+Node 0 is always the depot. Edge weights are non-negative integers or
+rationals (``Fraction``); costs are computed exactly.
 A tour is stored as its pickup multiset only -- on a tree the cheapest closed
 walk through a pickup set is determined by the set, so no explicit walk is kept.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -20,10 +19,6 @@ Weight = int | Fraction
 
 class InstanceError(ValueError):
     """Malformed instance data (parse errors, bad tree structure, bad Q)."""
-
-
-class DisconnectedDemandError(InstanceError):
-    """Removing over-weight edges would cut a demand node off the depot."""
 
 
 def _as_weight(value: Weight) -> Weight:
@@ -233,56 +228,6 @@ def normalize_demands(inst: TreeInstance) -> tuple[TreeInstance, Solution]:
             trivial.append(Tour.of({v: q}))
     out = inst.replace(demand=tuple(residual))
     return out, Solution.of(inst, trivial)
-
-
-@dataclass(frozen=True)
-class ScaledInstance:
-    instance: TreeInstance
-    factor: Fraction  # output weight ~= factor * lifted raw weight
-    kept_nodes: tuple[int, ...]  # old ids, index = new id
-
-
-def scale_weights(inst: TreeInstance, eps: Fraction | float,
-                  w_guess: Weight) -> ScaledInstance:
-    """Round and scale edge weights to a polynomially bounded integer range.
-
-    Edges heavier than ``w_guess`` are removed (their subtrees must carry no
-    demand); remaining weights are lifted to at least eps*w_guess/(4 n^3),
-    rescaled so the minimum becomes 1, divided by eps and rounded up.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    # Drop subtrees behind over-weight edges.
-    dropped = set()
-    for v in inst.topo_order[1:]:
-        if inst.parent[v] in dropped or inst.weight[v] > w_guess:
-            dropped.add(v)
-            if inst.subtree_demand[v] > 0 and inst.weight[v] > w_guess:
-                raise DisconnectedDemandError(
-                    f"edge to node {v} exceeds guess {w_guess} but its subtree has demand")
-    if dropped:
-        for v in dropped:
-            if inst.demand[v] > 0:
-                raise DisconnectedDemandError(f"demand node {v} disconnected")
-    kept = [v for v in range(inst.n) if v not in dropped]
-    remap = {old: new for new, old in enumerate(kept)}
-    n = len(kept)
-
-    floor_w = eps * w_guess / (4 * n ** 3)
-    lifted = [max(Fraction(inst.weight[v]), floor_w) if v else Fraction(0) for v in kept]
-    m = min(w for w in lifted[1:]) if n > 1 else Fraction(1)
-    factor = 1 / (m * eps)
-    new_weight = tuple(
-        0 if i == 0 else math.ceil(lifted[i] * factor) for i in range(n))
-    out = TreeInstance(
-        parent=tuple(-1 if i == 0 else remap[inst.parent[kept[i]]] for i in range(n)),
-        weight=new_weight,
-        demand=tuple(inst.demand[v] for v in kept),
-        capacity=inst.capacity,
-    )
-    return ScaledInstance(out, factor, tuple(kept))
 
 
 # ---------------------------------------------------------------------------

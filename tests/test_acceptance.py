@@ -13,8 +13,8 @@ import pytest
 
 from treecvrp.baselines import flow_lower_bound, itp_solve
 from treecvrp.bench import run_suite
-from treecvrp.dp import (DPParams, check_consistency, solve_bicriteria,
-                         solve_structured)
+from treecvrp.dp import (DPParams, _Build, _partitions, distribute_tokens,
+                         merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact, solve_exact_naive
 from treecvrp.generate import generate, stress_instance
 from treecvrp.height import build_reduced_tree
@@ -24,6 +24,7 @@ from treecvrp.structure import (TransformInfeasible, TransformParams,
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
+from consistency import brute_consistent, check_consistency
 
 EPS = 0.5
 
@@ -125,53 +126,48 @@ def test_criterion_5_height_reduction_sandwich():
             not bad, "; ".join(bad[:3]))
 
 
-def brute_consistent(o_v, z_v, z1, z2):
-    z_v, z1, z2 = list(z_v), list(z1), list(z2)
-
-    def rec(idx, rem1, rem2, extra):
-        if idx == len(z_v):
-            return not rem1 and not rem2 and extra == 0
-        t = z_v[idx]
-        for i in [None] + list(range(len(rem1))):
-            for j in [None] + list(range(len(rem2))):
-                a = rem1[i] if i is not None else 0
-                b = rem2[j] if j is not None else 0
-                o_c = t - a - b
-                if o_c < 0 or o_c > extra:
-                    continue
-                n1 = rem1[:i] + rem1[i + 1:] if i is not None else rem1
-                n2 = rem2[:j] + rem2[j + 1:] if j is not None else rem2
-                if rec(idx + 1, n1, n2, extra - o_c):
-                    return True
-        return False
-
-    return rec(0, z1, z2, o_v)
+def _fold(o_v, z1, z2, capacity):
+    """Profiles the DP makes from child profiles z1, z2 and o_v node tokens."""
+    acc = {(): (0, ())}
+    for z in (z1, z2):
+        child = {z: (0, tuple(_Build(size) for size in z))}
+        acc = merge_child_table(acc, child, capacity)
+    return set(distribute_tokens(acc, 1, o_v, capacity))
 
 
 def test_criterion_6_consistency_vs_brute_force():
-    sizes = range(1, 7)
-    multisets = {k: [tuple(c) for c in
-                     itertools.combinations_with_replacement(sizes, k)]
-                 for k in range(5)}
-    cases = disagreements = 0
-    parents = [z for k in range(4) for z in multisets[k]]
-    children = [z for k in range(3) for z in multisets[k]]
-    for z_v in parents:
-        for z1 in children:
-            for z2 in children:
-                o_v = sum(z_v) - sum(z1) - sum(z2)
-                if o_v < 0:
-                    continue
+    # every z1, z2 of at most 3 child tours in all, o_v <= 3, Q <= 6; z_v
+    # ranges over the size multisets of the right total and of a length that
+    # can match: at least the tours of either child, at most all child tours
+    # plus one new tour per node token
+    cases = verdicts = disagreements = 0
+    for q in range(1, 7):
+        multisets = [tuple(c) for k in range(4) for c in
+                     itertools.combinations_with_replacement(range(1, q + 1),
+                                                             k)]
+        profiles = [[z[::-1] for z in _partitions(total, q)]
+                    for total in range(3 * q + 4)]
+        for z1, z2 in itertools.product(multisets, repeat=2):
+            if len(z1) + len(z2) > 3:
+                continue
+            for o_v in range(4):
                 cases += 1
-                if check_consistency(o_v, z_v, z1, z2) != \
-                        brute_consistent(o_v, z_v, z1, z2):
+                folded = _fold(o_v, z1, z2, q)
+                lo, hi = max(len(z1), len(z2)), len(z1) + len(z2) + o_v
+                candidates = [z for z in profiles[o_v + sum(z1) + sum(z2)]
+                              if lo <= len(z) <= hi]
+                if not folded <= set(candidates):
                     disagreements += 1
-                # a wrong token count must come out inconsistent
-                cases += 1
-                if check_consistency(o_v + 1, z_v, z1, z2):
-                    disagreements += 1
-    _report(6, "consistency table equals brute-force matcher",
-            disagreements == 0, f"{cases} cases, {disagreements} disagreements")
+                for z_v in candidates:
+                    verdicts += 1
+                    spec = check_consistency(o_v, z_v, z1, z2)
+                    if spec != brute_consistent(o_v, z_v, z1, z2) or \
+                            spec != (z_v in folded):
+                        disagreements += 1
+    _report(6, "DP fold equals consistency table and brute-force matcher",
+            disagreements == 0,
+            f"{cases} cases, {verdicts} profiles, "
+            f"{disagreements} disagreements")
 
 
 def test_criterion_7_threshold_properties():

@@ -215,3 +215,22 @@ def test_usage_error_on_bad_instance(tmp_path):
     bad.write_text("garbage\n")
     r = run("solve", str(bad))
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("eps", [0, -1, "x"])
+def test_bench_bad_eps_is_usage_error(tmp_path, eps):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "instances": [{"shape": "star", "n": 4, "Q": 2, "seeds": [7]}],
+        "algorithms": ["bicriteria", "qptas"], "eps": eps}))
+    r = run("bench", str(config))
+    assert r.exit_code == 2, r.output
+    assert "eps must be a positive number" in r.output
+
+
+def test_negative_pad_cap_is_usage_error(tmp_path):
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    r = run("solve", str(inst_file), "--algo", "qptas", "--pad-cap", "-1")
+    assert r.exit_code == 2, r.output
+    assert "--pad-cap" in r.output

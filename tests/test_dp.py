@@ -1,14 +1,15 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
-    DPParams, NoStructuredSolutionError, ResourceLimitError, charge_edge,
-    check_consistency, default_eps_prime, distribute_tokens,
+    DPParams, NoStructuredSolutionError, ResourceLimitError, _Build,
+    _builds_to_solution, charge_edge, default_eps_prime, distribute_tokens,
     merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact
 from treecvrp.generate import stress_instance
@@ -17,6 +18,7 @@ from treecvrp.structure import TransformParams, profile_complexity, thresholds
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
+from consistency import brute_consistent, check_consistency
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -53,34 +55,9 @@ def token_partitions(inst):
     yield from rec(0)
 
 
-def brute_consistent(o_v, z_v, z1, z2):
-    """Exhaustive matcher: try every injective assignment of z1/z2 tours to
-    z_v tours and every split of the extra tokens."""
-    z_v, z1, z2 = list(z_v), list(z1), list(z2)
-
-    def rec(idx, rem1, rem2, extra):
-        if idx == len(z_v):
-            return not rem1 and not rem2 and extra == 0
-        t = z_v[idx]
-        choices1 = [None] + list(range(len(rem1)))
-        choices2 = [None] + list(range(len(rem2)))
-        for i in choices1:
-            for j in choices2:
-                a = rem1[i] if i is not None else 0
-                b = rem2[j] if j is not None else 0
-                o_c = t - a - b
-                if o_c < 0 or o_c > extra:
-                    continue
-                n1 = rem1[:i] + rem1[i + 1:] if i is not None else rem1
-                n2 = rem2[:j] + rem2[j + 1:] if j is not None else rem2
-                if rec(idx + 1, n1, n2, extra - o_c):
-                    return True
-        return False
-
-    return rec(0, z1, z2, o_v)
-
-
 class TestConsistency:
+    """The consistency table, the spec of the DP's fold, on its own."""
+
     def test_base_case(self):
         assert check_consistency(0, (), (), ())
 
@@ -97,7 +74,7 @@ class TestConsistency:
         assert not check_consistency(3, (3,), (1, 2), ())
 
     def test_matches_brute_force_sample(self):
-        # exhaustive up-to-size-6 sweep lives in the acceptance suite
+        # the sweep against the DP's fold lives in acceptance criterion 6
         sizes = range(1, 4)
         pools = [()] + [tuple(c) for k in (1, 2)
                         for c in itertools.combinations_with_replacement(sizes, k)]
@@ -224,6 +201,20 @@ class TestStructured:
         assert check_feasible(inst, padded).ok
         assert padded.total_cost == 36  # three tours padded to size 7
 
+    def test_pads_may_cross_a_bucket_threshold(self):
+        # two leaves of 3 tokens behind a heavy edge; with gamma=1, g=0 each
+        # bucket of thresholds(4, 1/2) = (1, 2, 3, 4) holds at most one tour.
+        # Padding one tour 3 -> 4 moves it into the next bucket: cost 44.
+        # Every bucket holds a single size, so padding only up to a size
+        # already in the tour's bucket changes nothing: the unpadded 46.
+        inst = TreeInstance((-1, 0, 1, 1), (0, 10, 1, 1), (0, 0, 3, 3), 4)
+        sched = thresholds(4, Fraction(1, 2))
+        sols = [solve_structured(inst, Fraction(1, 2), DPParams(
+            gamma=1, groups=0, schedule=sched, pad_cap=pad_cap))
+            for pad_cap in (0, 2)]
+        assert [sol.total_cost for sol in sols] == [46, 44]
+        assert check_feasible(inst, sols[1]).ok
+
     def test_filter_sees_only_final_profiles(self):
         # the cheapest structured solution, tours {2:3} and {3:4, 4:1}, passes
         # an unstructured fold at node 1 before node 1's final profile
@@ -304,7 +295,6 @@ class TestTableHelpers:
         assert charged[(3,)][0] == 4 + 2 * 5 * 1
 
     def test_merge_respects_capacity(self):
-        from treecvrp.dp import _Build
         acc = {(2,): (0, (_Build(2),))}
         child = {(3,): (0, (_Build(3),))}
         merged = merge_child_table(acc, child, capacity=4)
@@ -319,11 +309,15 @@ class TestTableHelpers:
         assert set(out) == {(1, 2), (1, 1, 1)}
 
     def test_distribute_pads_tracked_separately(self):
-        from treecvrp.dp import _Build
+        # two pads raise a tour of load 1 to size 3; they never enter phys,
+        # and the solution keeps only the physical pickup
+        inst = TreeInstance((-1, 0, 1), (0, 1, 1), (0, 0, 1), 3)
         table = {(1,): (0, (_Build(1, phys=((2, 1),)),))}
         out = distribute_tokens(table, v=1, phys_tokens=0, capacity=3,
                                 pad_cap=2)
         assert (3,) in out
         (build,) = out[(3,)][1]
         assert build.phys == ((2, 1),)
-        assert build.pads == ((1, 2),)
+        assert build.size == 3
+        sol = _builds_to_solution(inst, (build,))
+        assert sol.tours == (Tour(((2, 1),)),)

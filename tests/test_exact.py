@@ -4,8 +4,7 @@ import pytest
 
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.exact import (
-    InfeasibleError, OracleLimits, OracleSizeError, solve_exact,
-    solve_exact_k_tours, solve_exact_naive)
+    OracleLimits, OracleSizeError, solve_exact, solve_exact_naive)
 from treecvrp.instance import TreeInstance
 from treecvrp.verify import check_feasible
 
@@ -92,27 +91,3 @@ def test_optimum_invariant_under_relabeling():
         relabeled = TreeInstance(tuple(parent), tuple(weight), tuple(demand),
                                  inst.capacity)
         assert solve_exact(relabeled).total_cost == solve_exact(inst).total_cost
-
-
-class TestKTours:
-    def test_matches_unrestricted_when_enough_tours(self):
-        for seed in range(25):
-            inst = random_instance(seed, max_n=6, max_tokens=8)
-            opt = solve_exact(inst)
-            total = inst.total_demand
-            d = min(4, total)
-            if total <= d * inst.capacity and len(opt.tours) <= d:
-                sol = solve_exact_k_tours(inst, d)
-                assert sol.total_cost == opt.total_cost
-
-    def test_restriction_can_cost_more(self):
-        # two far-apart leaves, Q=2: one tour must take a detour
-        inst = TreeInstance((-1, 0, 0), (0, 5, 5), (0, 2, 2), 2)
-        assert solve_exact_k_tours(inst, 2).total_cost == 20
-        with pytest.raises(InfeasibleError):
-            solve_exact_k_tours(inst, 1)
-
-    def test_tour_cap(self):
-        with pytest.raises(OracleSizeError):
-            solve_exact_k_tours(STAR, 5)
-

@@ -1,14 +1,12 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treecvrp.instance import (
-    DisconnectedDemandError, InstanceError, Solution, Tour, TreeInstance,
-    load_instance, load_solution, normalize_demands, pickup_set_cost,
-    save_instance, save_solution, scale_weights, solution_cost, tour_cost)
+    InstanceError, Solution, Tour, TreeInstance, load_instance, load_solution,
+    normalize_demands, pickup_set_cost, save_instance, save_solution,
+    solution_cost, tour_cost)
 
 from conftest import edge_count_cost, random_instance
 
@@ -157,50 +155,6 @@ def test_normalize_composes_with_oracle():
         residual, peeled = normalize_demands(inst)
         assert solve_exact(residual).total_cost + peeled.total_cost == \
             solve_exact(inst).total_cost
-
-
-class TestScaleWeights:
-    def test_minimum_becomes_at_least_one_over_eps(self):
-        inst = TreeInstance((-1, 0, 1), (0, Fraction(1, 3), 5), (0, 1, 1), 2)
-        scaled = scale_weights(inst, Fraction(1, 2), 5)
-        assert min(scaled.instance.weight[1:]) == 2  # ceil(1/eps)
-        assert scaled.instance.capacity == 2
-
-    def test_drops_overweight_demand_free_subtree(self):
-        inst = TreeInstance((-1, 0, 0), (0, 1, 100), (0, 1, 0), 2)
-        scaled = scale_weights(inst, Fraction(1, 2), 10)
-        assert scaled.instance.n == 2
-        assert scaled.kept_nodes == (0, 1)
-
-    def test_rejects_disconnecting_demand(self):
-        inst = TreeInstance((-1, 0), (0, 100), (0, 1), 2)
-        with pytest.raises(DisconnectedDemandError):
-            scale_weights(inst, Fraction(1, 2), 10)
-
-    def test_equal_weights_stay_equal(self):
-        inst = TreeInstance((-1, 0, 0, 1), (0, 4, 4, 4), (0, 1, 1, 1), 2)
-        scaled = scale_weights(inst, Fraction(1, 2), 4)
-        assert len(set(scaled.instance.weight[1:])) == 1
-
-    def test_optimum_tracks_factor(self):
-        from treecvrp.exact import solve_exact
-        eps = Fraction(1, 2)
-        for seed in range(12):
-            inst = random_instance(seed, max_n=6, unit_demand=False,
-                                   max_tokens=6)
-            scaled = scale_weights(inst, eps, max(inst.weight))
-            opt = solve_exact(inst).total_cost
-            opt_s = solve_exact(scaled.instance).total_cost
-            assert scaled.factor * opt <= opt_s
-            assert opt_s <= (1 + eps) * scaled.factor * opt
-
-    def test_weights_polynomially_bounded(self):
-        inst = TreeInstance((-1, 0, 1, 2), (0, 1, 1000, 3), (0, 0, 1, 1), 2)
-        eps = Fraction(1, 2)
-        scaled = scale_weights(inst, eps, 1000)
-        n = scaled.instance.n
-        bound = math.ceil(4 * n ** 3 / (eps * eps))
-        assert max(scaled.instance.weight) <= bound
 
 
 # --- file formats -----------------------------------------------------------
