@@ -65,18 +65,24 @@ def load_config(text: str) -> dict:
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    eps = config.get("eps", 0.5)
-    try:
-        positive = Fraction(str(eps)) > 0
-    except (ValueError, ZeroDivisionError):
-        positive = False
-    if not positive:
-        raise ValueError(f"eps must be a positive number, got {eps!r}")
+    _suite_eps(config)
     return config
 
 
+def _suite_eps(config: dict) -> Fraction:
+    """The suite's ``eps`` (default 0.5) as an exact positive ``Fraction``."""
+    eps = config.get("eps", 0.5)
+    try:
+        value = Fraction(str(eps))
+    except (ValueError, ZeroDivisionError):
+        value = 0
+    if value <= 0:
+        raise ValueError(f"eps must be a positive number, got {eps!r}")
+    return value
+
+
 def run_suite(config: dict, timing: bool = False) -> str:
-    eps = Fraction(str(config.get("eps", 0.5)))
+    eps = _suite_eps(config)
     rows = []
     for spec in config["instances"]:
         shape = spec["shape"]

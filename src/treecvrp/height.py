@@ -32,16 +32,8 @@ class PathDecomposition:
         return len(self.levels)
 
 
-def _subtree_sizes(inst: TreeInstance) -> list[int]:
-    size = [1] * inst.n
-    for v in reversed(inst.topo_order):
-        if v:
-            size[inst.parent[v]] += size[v]
-    return size
-
-
 def decompose_paths(inst: TreeInstance) -> PathDecomposition:
-    size = _subtree_sizes(inst)
+    size = inst.subtree_sizes()
     node_level = [0] * inst.n
     levels: list[list[tuple[int, ...]]] = []
     # (root-of-pending-subtree, attachment-node-or-None, level)

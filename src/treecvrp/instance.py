@@ -8,11 +8,12 @@ walk through a pickup set is determined by the set, so no explicit walk is kept.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 Weight = int | Fraction
 
@@ -33,6 +34,11 @@ class TreeInstance:
 
     ``parent[v]`` is the parent of node v (``parent[0] == -1``), ``weight[v]``
     the weight of the edge (parent[v], v) with ``weight[0] == 0``.
+
+    Validation is O(n): every parent chain is walked once, memoized, and a
+    node whose chain never reaches the depot is reported by its smallest id.
+    It builds none of the cached tables. ``preorder`` (O(n), built on the
+    first costing) lets ``pickup_set_cost`` price k nodes in O(k log n).
     """
 
     parent: tuple[int, ...]
@@ -58,14 +64,25 @@ class TreeInstance:
                 raise InstanceError(f"node {v}: negative edge weight")
         if any(d < 0 for d in self.demand):
             raise InstanceError("negative demand")
-        # Reachability check; a cycle among non-root nodes never reaches 0.
+        # One memoized pass: 0 unseen, 1 on the chain being walked, 2 reaches
+        # the depot. Each node is walked once; meeting a 1 closes a cycle.
+        state = bytearray(n)
+        state[0] = 2
+        parent = self.parent
         for v in range(1, n):
-            u, steps = v, 0
-            while u != 0:
-                u = self.parent[u]
-                steps += 1
-                if steps > n:
-                    raise InstanceError(f"node {v}: parent chain never reaches the depot")
+            if state[parent[v]] == 2:
+                state[v] = 2
+                continue
+            u = v
+            while not state[u]:
+                state[u] = 1
+                u = parent[u]
+            if state[u] == 1:
+                raise InstanceError(f"node {v}: parent chain never reaches the depot")
+            u = v
+            while state[u] == 1:
+                state[u] = 2
+                u = parent[u]
 
     @property
     def n(self) -> int:
@@ -94,9 +111,13 @@ class TreeInstance:
             d[v] = _as_weight(d[self.parent[v]] + self.weight[v])
         return tuple(d)
 
-    @cached_property
+    @property
     def topo_order(self) -> tuple[int, ...]:
-        """Nodes ordered root-first (every parent before its children)."""
+        """Nodes ordered root-first (every parent before its children).
+
+        Rebuilt on each access: each cached table reads it once, and keeping
+        it would hold n more entries for the life of every instance.
+        """
         order = [0]
         stack = [0]
         while stack:
@@ -105,6 +126,32 @@ class TreeInstance:
                 order.append(c)
                 stack.append(c)
         return tuple(order)
+
+    @cached_property
+    def preorder(self) -> tuple[array, array]:
+        """Each node's preorder position and its heavy-path head.
+
+        One DFS visits the heavy child (largest subtree) of every node right
+        after the node, so each heavy path is contiguous in preorder and any
+        root path crosses O(log n) heavy paths.
+        """
+        size = self.subtree_sizes()
+        pos, head = array("i", [0]) * self.n, array("i", [0]) * self.n
+        stack, t = [0], 0
+        while stack:
+            u = stack.pop()
+            pos[u] = t
+            t += 1
+            kids = self.children[u]
+            if kids:
+                heavy = max(kids, key=size.__getitem__)
+                for c in kids:
+                    if c != heavy:
+                        head[c] = c
+                        stack.append(c)
+                head[heavy] = head[u]
+                stack.append(heavy)
+        return pos, head
 
     @property
     def height(self) -> int:
@@ -120,6 +167,13 @@ class TreeInstance:
                 out.append(c)
                 stack.append(c)
         return tuple(out)
+
+    def subtree_sizes(self) -> list[int]:
+        """Number of nodes in every node's subtree (not cached)."""
+        size = [1] * self.n
+        for v in reversed(self.topo_order[1:]):
+            size[self.parent[v]] += size[v]
+        return size
 
     @cached_property
     def subtree_demand(self) -> tuple[int, ...]:
@@ -202,12 +256,29 @@ def tour_cost(inst: TreeInstance, tour: Tour) -> Weight:
 
 
 def pickup_set_cost(inst: TreeInstance, nodes: Iterable[int]) -> Weight:
-    marked = set()
-    for v in nodes:
-        while v != 0 and v not in marked:
-            marked.add(v)
-            v = inst.parent[v]
-    return _as_weight(2 * sum(inst.weight[v] for v in marked))
+    """2x the weight of the union of the nodes' root paths, in O(k log n).
+
+    With the k nodes sorted by preorder as v_1..v_k, the union weighs
+    ``sum dist_root(v_i) - sum_{i>1} dist_root(lca(v_{i-1}, v_i))`` (the
+    virtual-tree identity). A repeated node or the depot adds 0. Each LCA
+    takes O(log n) heavy-path jumps over ``inst.preorder``.
+    """
+    pos, head = inst.preorder
+    parent, dist = inst.parent, inst.dist_root
+    order = sorted(nodes, key=pos.__getitem__)
+    total = dist[order[0]] if order else 0
+    for a, b in zip(order, order[1:]):
+        total += dist[b]
+        ha, hb = head[a], head[b]
+        while ha != hb:
+            if pos[ha] > pos[hb]:
+                a = parent[ha]
+                ha = head[a]
+            else:
+                b = parent[hb]
+                hb = head[b]
+        total -= dist[a if pos[a] < pos[b] else b]
+    return _as_weight(2 * total)
 
 
 def solution_cost(inst: TreeInstance, tours: Iterable[Tour]) -> Weight:

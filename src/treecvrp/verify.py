@@ -31,7 +31,7 @@ def check_feasible(inst: TreeInstance, sol: Solution) -> FeasibilityReport:
             if not 0 <= v < inst.n:
                 violations.append(f"tour {i}: unknown node {v}")
     if violations and any("unknown node" in v for v in violations):
-        # cost recomputation would walk the parent chain of a bogus node
+        # cost recomputation would index the tree tables with a bogus node
         return FeasibilityReport(False, 0, tuple(violations))
     covered = sol.covered
     for v in range(inst.n):

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import time
 from fractions import Fraction
 
@@ -155,6 +156,16 @@ def test_load_config_validates():
         load_config('{"instances": []}')
     with pytest.raises(ValueError):
         load_config('{"instances": [], "algorithms": ["simplex"]}')
+
+
+@pytest.mark.parametrize("eps", [0, -1, "x"])
+def test_run_suite_rejects_bad_eps_before_solving(oracle_calls, eps):
+    config = dict(SMALL, eps=eps)
+    with pytest.raises(ValueError, match="eps must be a positive number"):
+        run_suite(config)
+    assert oracle_calls == []
+    with pytest.raises(ValueError, match="eps must be a positive number"):
+        load_config(json.dumps(config))
 
 
 def test_eps_reaches_solvers_exactly(monkeypatch):
