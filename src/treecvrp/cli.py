@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .baselines import flow_lower_bound, itp_solve
 from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
-from .exact import OracleLimits, OracleSizeError, solve_exact
+from .exact import OracleSizeError, solve_exact
 from .generate import DEMAND_MODELS, SHAPES, generate
 from .height import build_reduced_tree, lift_solution
 from .instance import (InstanceError, load_instance, load_solution,
@@ -99,7 +99,7 @@ def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,
         target = reduced.tree
     try:
         if algo == "exact":
-            sol = solve_exact(target, OracleLimits(max_tokens=max_tokens))
+            sol = solve_exact(target, max_tokens=max_tokens)
         elif algo == "itp":
             sol = itp_solve(target)
         elif algo == "bicriteria":
@@ -166,7 +166,7 @@ def reduce(instance, eps, output):
 @eps_option
 @click.option("--seed", type=int, default=0)
 @click.option("--gamma", type=int, default=None)
-@click.option("--groups", "-g", type=int, default=None)
+@click.option("--groups", "-g", type=click.IntRange(min=1), default=None)
 @click.option("--instance-out", default=None)
 @click.option("--solution-out", default=None)
 def transform_cmd(instance, solution, eps, seed, gamma, groups, instance_out,

@@ -2,11 +2,13 @@
 
 Both solvers sweep the tree bottom-up. A node's table maps a profile (the
 sorted multiset of sizes of the partial tours entering its subtree) to the
-cheapest witness realizing it. Children are folded in one at a time -- every
-child tour is either kept separate or merged into one distinct accumulated
-tour -- then the node's own tokens are distributed, the solver's node filter
-(structure check or size rounding) runs once on the node's final profile, and
-finally the parent edge is charged once per tour.
+cheapest witness realizing it. One fold, ``merge_child_table``, builds it:
+every child tour is either kept separate or merged into one distinct
+accumulated tour. The node's own tokens are one more child, folded last: a
+zero-cost table of every split of them, plus 0..pad_cap pads, into tours of at
+most Q. Then the solver's node filter (structure check or size rounding) runs
+once on the node's final profile, and finally the parent edge is charged once
+per tour.
 
 The depot is not folded. It has no parent edge and no bucket constraint, so
 merging tours there never changes the cost: the root entry is the sum of each
@@ -33,6 +35,7 @@ entries.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -118,12 +121,21 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
 
     Each child tour either stays a separate tour or merges into one distinct
     accumulated tour (sizes add, capped at the capacity). This is the B-table
-    step; costs simply add because edge charges live below.
+    step; costs simply add because edge charges live below. It is the only
+    fold: the node's own tokens and pads are its last child, the table of
+    ``_own_tokens``, and each existing tour takes at most one of their parts.
     """
-    out: Table = {}
     # canonical order so equal-size child tours are interchangeable
     entries = [(c_ch, tuple(sorted(ch_builds, key=lambda b: b.size)))
                for c_ch, ch_builds in child.values()]
+    if len(acc) == 1 and () in acc:
+        # no tour to merge into: each child entry passes through, as the
+        # enumeration below would yield it
+        c_acc = acc[()][0]
+        out = {k: (c_acc + c, ch) for k, (c, ch) in zip(child, entries)}
+        _check_budget(out, budget, node)
+        return out
+    out: Table = {}
     for c_acc, acc_builds in acc.values():
         n_acc = len(acc_builds)
         for c_ch, ch in entries:
@@ -157,63 +169,35 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
     return out
 
 
-def _partitions(total: int, max_part: int):
+@functools.lru_cache(maxsize=1024)
+def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     """Non-increasing partitions of ``total`` into parts <= max_part."""
     if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest
+                 for first in range(min(total, max_part), 0, -1)
+                 for rest in _partitions(total - first, first))
 
 
-def distribute_tokens(table: Table, v: int, phys_tokens: int, capacity: int,
-                      pad_cap: int = 0, budget: int = 10 ** 9) -> Table:
-    """Distribute d(v) physical tokens plus 0..pad_cap pads at node v.
+def _own_tokens(v: int, d: int, capacity: int, pad_cap: int) -> Table:
+    """Node v's d tokens plus 0..pad_cap pads as a zero-cost child table.
 
-    Existing tours may each take any number of tokens up to their remaining
-    room; leftover tokens spawn new tours (each nonempty, <= capacity). The
-    physical tokens are handed out first in assignment order; the labeling
-    does not affect the DP value, only which tokens are physical pickups.
+    One entry per partition into tours of at most ``capacity``. Folded
+    last, each existing tour takes at most one part and the other parts start
+    new tours, which reaches every way of handing the tokens out. Physical
+    tokens fill the parts first, largest part first; which tokens are the
+    physical ones does not change the DP value, only the witness.
     """
-    out: Table = {}
-    for cost, builds in table.values():
-        # canonical order so equal-size tours receive non-increasing takes
-        ordered = tuple(sorted(builds, key=lambda b: b.size))
-        orig_sizes = tuple(b.size for b in ordered)
-        for pad_total in range(pad_cap + 1):
-            total = phys_tokens + pad_total
-
-            def give(i: int, left: int, phys_left: int,
-                     cur: tuple[_Build, ...], prev_take: int):
-                if i == len(cur):
-                    for parts in _partitions(left, capacity):
-                        born = []
-                        pl = phys_left
-                        for p in parts:
-                            ph = min(p, pl)
-                            pl -= ph
-                            born.append(_Build(p, ((v, ph),) if ph else ()))
-                        _put(out, cur + tuple(born), cost)
-                    return
-                b = cur[i]
-                room = capacity - b.size
-                cap = min(left, room)
-                if i and orig_sizes[i] == orig_sizes[i - 1]:
-                    cap = min(cap, prev_take)
-                for take in range(cap + 1):
-                    if take:
-                        ph = min(take, phys_left)
-                        nb = _Build(b.size + take,
-                                    b.phys + (((v, ph),) if ph else ()))
-                        give(i + 1, left - take, phys_left - ph,
-                             cur[:i] + (nb,) + cur[i + 1:], take)
-                    else:
-                        give(i + 1, left, phys_left, cur, 0)
-
-            give(0, total, phys_tokens, ordered, capacity)
-            _check_budget(out, budget, v)
-    return out
+    table: Table = {}
+    for total in range(d, d + pad_cap + 1):
+        for parts in _partitions(total, capacity):
+            builds, left = [], d
+            for p in parts:
+                ph = min(p, left)
+                left -= ph
+                builds.append(_Build(p, ((v, ph),) if ph else ()))
+            table[parts[::-1]] = (0, tuple(builds[::-1]))
+    return table
 
 
 def charge_edge(table: Table, weight: Weight) -> Table:
@@ -232,8 +216,9 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int,
     """Bottom-up profile DP; returns the root entry ``(cost, builds)``.
 
     ``node_filter`` runs once per non-depot node, on its profile after the
-    node's tokens are distributed; intermediate child folds are not node
-    profiles and are never filtered. The depot is not folded: its entry
+    node's own tokens are folded in; intermediate child folds are not node
+    profiles and are never filtered. ``states`` counts the tables after each
+    child fold and after the filter. The depot is not folded: its entry
     concatenates each depot child's best entry and covers ``demand[0]`` with
     extra tours of at most Q tokens, which cost nothing.
     """
@@ -245,8 +230,9 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int,
             acc = merge_child_table(acc, table.pop(u), inst.capacity,
                                     budget, v)
             states += len(acc)
-        acc = distribute_tokens(acc, v, inst.demand[v], inst.capacity,
-                                pad_cap, budget)
+        acc = merge_child_table(
+            acc, _own_tokens(v, inst.demand[v], inst.capacity, pad_cap),
+            inst.capacity, budget, v)
         acc = node_filter(acc)
         states += len(acc)
         if not acc:
@@ -305,7 +291,7 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
     """Cost never above the optimum; loads may exceed Q by ~(1+eps').
 
     Sizes are rounded down to the eps'-threshold grid once per node, after
-    its tokens are distributed, so any optimal solution maps to an admissible
+    its own tokens are folded in, so any optimal solution maps to an admissible
     run of the same or lower stored cost, while a stored size understates the
     true load by at most a (1+eps') factor per tree level. The depot is not
     folded, so its tours are never merged or rounded.

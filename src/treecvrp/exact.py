@@ -12,13 +12,11 @@ Two independent implementations cross-validate each other in the test suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instance import Solution, Tour, TreeInstance, pickup_set_cost
 
 
 class OracleSizeError(ValueError):
-    """Instance exceeds the configured oracle limits."""
+    """Instance holds more tokens than the oracle's limit."""
 
 
 class InfeasibleError(ValueError):
@@ -26,14 +24,6 @@ class InfeasibleError(ValueError):
 
     No solver here raises it; the name stays for callers that catch it.
     """
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_tokens: int = 14
-
-
-DEFAULT_LIMITS = OracleLimits()
 
 
 def _groups_from(inst: TreeInstance, residual: tuple[int, ...], pivot: int):
@@ -67,12 +57,12 @@ def _groups_from(inst: TreeInstance, residual: tuple[int, ...], pivot: int):
     return out
 
 
-def solve_exact(inst: TreeInstance, limits: OracleLimits = DEFAULT_LIMITS) -> Solution:
+def solve_exact(inst: TreeInstance, max_tokens: int = 14) -> Solution:
     """Optimal solution via memoized DP over residual demand vectors."""
     total = inst.total_demand
-    if total > limits.max_tokens:
+    if total > max_tokens:
         raise OracleSizeError(
-            f"{total} tokens exceeds oracle limit {limits.max_tokens}")
+            f"{total} tokens exceeds oracle limit {max_tokens}")
     if total == 0:
         return Solution.of(inst, ())
 

@@ -96,18 +96,17 @@ class ReducedTree:
     zeroed_edges: tuple[int, ...]  # nodes whose parent edge was zeroed
 
 
-def path_length_trigger(n: int, eps: float, delta: float = 1.0) -> float:
-    return delta * math.log2(max(n, 2)) / eps
+def path_length_trigger(n: int, eps: float) -> float:
+    return math.log2(max(n, 2)) / eps
 
 
-def build_reduced_tree(inst: TreeInstance, eps: float,
-                       delta: float = 1.0) -> ReducedTree:
+def build_reduced_tree(inst: TreeInstance, eps: float) -> ReducedTree:
     if eps <= 0:
         raise ValueError("eps must be positive")
     decomp = decompose_paths(inst)
     parent = list(inst.parent)
     weight = list(inst.weight)
-    trigger = path_length_trigger(inst.n, eps, delta)
+    trigger = path_length_trigger(inst.n, eps)
     zeroed: list[int] = []
     for level in decomp.levels:
         for path in level:

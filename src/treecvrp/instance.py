@@ -221,10 +221,6 @@ class Tour:
     def as_dict(self) -> dict[int, int]:
         return dict(self.pickups)
 
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.pickups)
-
 
 @dataclass(frozen=True)
 class Solution:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .instance import (Solution, Tour, TreeInstance, Weight, _as_weight,
-                       solution_cost, tour_cost)
+                       tour_cost)
 
 
 class TransformInfeasible(RuntimeError):
@@ -77,11 +77,10 @@ class TransformParams:
     groups: int  # g: group count for big buckets
 
     @classmethod
-    def defaults(cls, n: int, eps: float, alpha: float = 1.0,
-                 delta: float = 1.0) -> "TransformParams":
+    def defaults(cls, n: int, eps: float) -> "TransformParams":
         log_n = math.log2(max(n, 2))
-        gamma = max(1, math.ceil(alpha * log_n ** 3 / eps ** 2))
-        g = max(1, math.ceil(2 * delta * log_n / eps ** 2))
+        gamma = max(1, math.ceil(log_n ** 3 / eps ** 2))
+        g = max(1, math.ceil(2 * log_n / eps ** 2))
         return cls(gamma, g)
 
 
@@ -130,17 +129,6 @@ def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],
     return cov
 
 
-def bucket_partial_tours(inst: TreeInstance, sol: Solution, v: int,
-                         schedule: ThresholdSchedule,
-                         gamma: int | None = None,
-                         groups: int | None = None) -> list[BucketView]:
-    """Classify the partial tours at v into threshold buckets."""
-    here = coverage(inst, [t.as_dict() for t in sol.tours])[v]
-    return _bucket_views(here, v, schedule,
-                         gamma if gamma is not None else len(sol.tours) + 1,
-                         groups or 1)
-
-
 def _bucket_views(here: dict[int, int], v: int, schedule: ThresholdSchedule,
                   gamma: int, g: int) -> list[BucketView]:
     per_bucket: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -167,8 +155,6 @@ class TransformReport:
     cost_before: Weight = 0
     cost_after: Weight = 0
     sampled_cost: Weight = 0
-    extra_cost: Weight = 0
-    shrink_savings: Weight = 0
     pad_tokens: int = 0
     sampled_ids: list[int] = field(default_factory=list)
     big_buckets: int = 0
@@ -190,6 +176,8 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
               params: TransformParams, seed: int
               ) -> tuple[TreeInstance, Solution, TransformReport]:
     """Apply the bottom-up grouping/shift/repack procedure to ``sol``."""
+    if params.groups < 1:
+        raise ValueError(f"need groups >= 1, got {params.groups}")
     rng = random.Random(seed)
     schedule = thresholds(inst.capacity, eps)
     report = TransformReport(cost_before=sol.total_cost)
@@ -197,7 +185,6 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     # Working state: pickups per tour (physical tokens) and pads per tour.
     picks: list[dict[int, int]] = [t.as_dict() for t in sol.tours]
     pads: list[dict[int, int]] = [dict() for _ in sol.tours]
-    n_orig = len(picks)
     orig = coverage(inst, picks)
 
     # Sampling: each tour independently with probability eps; both copies of a
@@ -251,12 +238,8 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     all_picks.extend({} for _ in range(missing))
 
     inst2 = inst.replace(demand=tuple(d + p for d, p in zip(inst.demand, pad_demand)))
-    tours2 = tuple(Tour.of(p) for p in all_picks)
-    sol2 = Solution.of(inst2, tours2)
+    sol2 = Solution.of(inst2, (Tour.of(p) for p in all_picks))
     report.cost_after = sol2.total_cost
-    new_orig_cost = solution_cost(inst2, tours2[:n_orig])
-    report.shrink_savings = report.cost_before - new_orig_cost
-    report.extra_cost = report.cost_after - new_orig_cost
     report.distinct_sizes = profile_complexity(inst2, sol2, schedule, params).distinct_sizes
     return inst2, sol2, report
 

@@ -2,9 +2,9 @@
 
 ``check_consistency(o, z_v, z1, z2)`` says whether the tours of two children
 (size multisets z1 and z2) and o tokens at the node can form the node's tours
-z_v. Folding z1 and z2 with ``merge_child_table`` and then handing out the o
-tokens with ``distribute_tokens`` must yield exactly the profiles z_v for
-which it holds. ``brute_consistent`` is an independent exhaustive matcher.
+z_v. Folding z1, z2 and then the table of the o tokens (``dp._own_tokens``)
+with ``merge_child_table`` must yield exactly the profiles z_v for which it
+holds. ``brute_consistent`` is an independent exhaustive matcher.
 """
 
 

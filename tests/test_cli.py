@@ -132,6 +132,29 @@ def test_transform_json_on_fractional_weights(tmp_path):
                                          - Fraction(payload["shortcut_savings"]))
 
 
+@pytest.mark.parametrize("groups", ["0", "-1"])
+def test_transform_needs_a_group(tmp_path, groups):
+    # a big bucket is split into g groups of ceil(m / g) tours
+    from treecvrp.baselines import itp_solve
+    inst = generate("random", 40, 3, "unit", 0)
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    sol_file.write_text(save_solution(itp_solve(inst)))
+    r = run("transform", str(inst_file), str(sol_file), "--eps", "1",
+            "--gamma", "1", "--groups", groups)
+    assert r.exit_code == 2, r.output
+    assert "--groups" in r.output
+
+
+def test_solve_accepts_zero_groups(tmp_path):
+    # the DP's g = 0 admits only small buckets, and is valid
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    r = run("solve", str(inst_file), "--algo", "qptas", "--groups", "0")
+    assert r.exit_code == 0, r.output
+
+
 def test_solve_resource_exit_code(tmp_path):
     inst_file = tmp_path / "inst.txt"
     inst_file.write_text(save_instance(generate("random", 30, 4, "uniform", 0)))

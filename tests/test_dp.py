@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
     DPParams, NoStructuredSolutionError, ResourceLimitError, _Build,
-    _builds_to_solution, charge_edge, default_eps_prime, distribute_tokens,
+    _builds_to_solution, _own_tokens, charge_edge, default_eps_prime,
     merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact
 from treecvrp.generate import stress_instance
@@ -21,6 +21,57 @@ from conftest import random_instance
 from consistency import brute_consistent, check_consistency
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
+
+# (cost, stats["states"]) of solve_structured with pads, per seed of the
+# brute-force family below, keyed by (eps, gamma, g, pad_cap); None means
+# NoStructuredSolutionError. Recorded from the DP before the node's own tokens
+# were folded as one more child table.
+PADDED_FAMILY = {
+    (Fraction(1, 2), 1, 0, 1): [
+        (44, 43), (12, 13), None, (10, 10), (12, 8), (18, 18), (50, 70),
+        (16, 6), (2, 4), (22, 23), None, (36, 50), (20, 13), (12, 10), (6, 3),
+        (2, 4), (22, 16), None, (12, 5), (42, 25), (32, 59), (20, 7), None,
+        (32, 42), None, None, None, (42, 21), (10, 4), (18, 18), (28, 21),
+        (8, 2), (6, 2), None, (20, 18), (8, 23), (16, 9), (28, 58), (48, 28),
+        (4, 5)],
+    (Fraction(1, 2), 1, 0, 2): [
+        (44, 70), (12, 19), None, (10, 15), (12, 14), (18, 31), (50, 130),
+        (16, 7), (2, 7), (22, 37), None, (36, 87), (20, 21), (12, 18), (6, 5),
+        (2, 5), (22, 28), None, (12, 5), (42, 32), (32, 90), (20, 11), None,
+        (32, 63), None, None, None, (42, 26), (10, 6), (18, 24), (28, 28),
+        (8, 4), (6, 2), None, (20, 27), (8, 36), (16, 11), (28, 112),
+        (48, 47), (4, 7)],
+    (Fraction(1, 2), 2, 1, 1): [
+        (44, 203), (12, 51), (62, 79), (10, 24), (12, 12), (18, 43),
+        (50, 163), (16, 10), (2, 5), (22, 77), (30, 53), (36, 166), (20, 24),
+        (12, 15), (6, 5), (2, 6), (18, 62), (26, 182), (12, 16), (42, 58),
+        (32, 212), (20, 22), (10, 18), (32, 242), (38, 145), (26, 67),
+        (46, 102), (42, 87), (10, 11), (18, 35), (28, 67), (8, 3), (6, 4),
+        (62, 84), (20, 37), (8, 39), (16, 15), (28, 158), (48, 70), (4, 9)],
+    (Fraction(1, 2), 2, 1, 2): [
+        (44, 528), (12, 104), (62, 162), (10, 54), (12, 27), (18, 101),
+        (50, 427), (16, 18), (2, 10), (22, 190), (30, 112), (36, 438),
+        (20, 49), (12, 33), (6, 10), (2, 11), (18, 137), (26, 457), (12, 30),
+        (42, 122), (32, 551), (20, 46), (10, 33), (32, 639), (38, 331),
+        (26, 141), (46, 220), (42, 184), (10, 20), (18, 73), (28, 148),
+        (8, 6), (6, 7), (62, 177), (20, 77), (8, 98), (16, 28), (28, 481),
+        (48, 156), (4, 16)],
+    (Fraction(1, 4), 1, 1, 1): [
+        (44, 203), (12, 51), (62, 79), (10, 24), (12, 12), (18, 43),
+        (50, 163), (16, 10), (2, 5), (22, 77), (30, 53), (36, 166), (20, 24),
+        (12, 15), (6, 5), (2, 6), (18, 62), (26, 182), (12, 16), (42, 58),
+        (32, 212), (20, 22), (10, 18), (32, 242), (38, 145), (26, 67),
+        (46, 102), (42, 87), (10, 11), (18, 35), (28, 67), (8, 3), (6, 4),
+        (62, 84), (20, 37), (8, 39), (16, 15), (28, 158), (48, 70), (4, 9)],
+    (Fraction(1, 4), 1, 1, 2): [
+        (44, 528), (12, 104), (62, 162), (10, 54), (12, 27), (18, 101),
+        (50, 427), (16, 18), (2, 10), (22, 190), (30, 112), (36, 438),
+        (20, 49), (12, 33), (6, 10), (2, 11), (18, 137), (26, 457), (12, 30),
+        (42, 122), (32, 551), (20, 46), (10, 33), (32, 639), (38, 331),
+        (26, 141), (46, 220), (42, 184), (10, 20), (18, 73), (28, 148),
+        (8, 6), (6, 7), (62, 177), (20, 77), (8, 98), (16, 28), (28, 481),
+        (48, 156), (4, 16)],
+}
 
 
 def with_depot_demand(seed):
@@ -272,8 +323,8 @@ class TestCollapsedRoot:
         for s in (sol, res.solution):
             assert s.total_cost == opt
             assert check_feasible(inst, s).ok
-            assert sorted(t.load for t in s.tours if t.nodes == (0,)) == \
-                [1, 3, 3]
+            assert sorted(t.load for t in s.tours
+                          if t.as_dict().keys() == {0}) == [1, 3, 3]
 
     def test_solvers_match_exact_with_depot_demand(self):
         for seed in range(30):
@@ -303,21 +354,92 @@ class TestTableHelpers:
         roomy = merge_child_table(acc, child, capacity=6)
         assert set(roomy) == {(2, 3), (5,)}
 
-    def test_distribute_spawns_new_tours(self):
-        table = {(): (0, ())}
-        out = distribute_tokens(table, v=1, phys_tokens=3, capacity=2)
+    def test_own_tokens_spawn_new_tours(self):
+        out = merge_child_table({(): (0, ())}, _own_tokens(1, 3, 2, 0),
+                                capacity=2)
         assert set(out) == {(1, 2), (1, 1, 1)}
 
-    def test_distribute_pads_tracked_separately(self):
+    def test_own_tokens_join_existing_tours(self):
+        # a tour of size 1 takes 0 or 2 of the node's 2 tokens, or 1 while
+        # the other starts a new tour; (1, 2) keeps its first witness
+        acc = {(1,): (5, (_Build(1, ((2, 1),)),))}
+        out = merge_child_table(acc, _own_tokens(1, 2, 3, 0), capacity=3)
+        assert out == {
+            (3,): (5, (_Build(3, ((2, 1), (1, 2))),)),
+            (1, 2): (5, (_Build(1, ((2, 1),)), _Build(2, ((1, 2),)))),
+            (1, 1, 1): (5, (_Build(1, ((2, 1),)), _Build(1, ((1, 1),)),
+                            _Build(1, ((1, 1),)))),
+        }
+
+    def test_pads_tracked_separately(self):
         # two pads raise a tour of load 1 to size 3; they never enter phys,
         # and the solution keeps only the physical pickup
         inst = TreeInstance((-1, 0, 1), (0, 1, 1), (0, 0, 1), 3)
         table = {(1,): (0, (_Build(1, phys=((2, 1),)),))}
-        out = distribute_tokens(table, v=1, phys_tokens=0, capacity=3,
-                                pad_cap=2)
+        out = merge_child_table(table, _own_tokens(1, 0, 3, 2), capacity=3)
         assert (3,) in out
         (build,) = out[(3,)][1]
         assert build.phys == ((2, 1),)
         assert build.size == 3
         sol = _builds_to_solution(inst, (build,))
         assert sol.tours == (Tour(((2, 1),)),)
+
+    def test_own_tokens_fill_physical_tokens_first(self):
+        table = _own_tokens(4, 3, 4, 2)
+        assert set(table) == {z[::-1] for total in (3, 4, 5)
+                              for z in _partitions_brute(total, 4)}
+        assert all(cost == 0 for cost, _ in table.values())
+        # 3 tokens and 2 pads as (1, 4): the size-4 tour holds the 3 tokens
+        assert table[(1, 4)][1] == (_Build(1), _Build(4, ((4, 3),)))
+
+    def test_empty_profile_shortcut_equals_enumeration(self):
+        # folding into the single empty profile passes the child through; a
+        # guard entry (one full tour no child tour fits into, at a cost that
+        # never wins a shared key) sends the same fold through the general
+        # enumeration, whose entries for the child's keys must agree
+        rng = random.Random(3)
+        for capacity in (2, 3, 5):
+            for _ in range(20):
+                child = {}
+                for _ in range(rng.randint(1, 6)):
+                    sizes = [rng.randint(1, capacity)
+                             for _ in range(rng.randint(0, 4))]
+                    rng.shuffle(sizes)
+                    builds = tuple(_Build(s, ((rng.randint(1, 9), s),))
+                                   for s in sizes)
+                    child.setdefault(tuple(sorted(sizes)),
+                                     (rng.randint(0, 20), builds))
+                short = merge_child_table({(): (7, ())}, child, capacity)
+                guard = (capacity,)
+                full = merge_child_table(
+                    {(): (7, ()), guard: (10 ** 6, (_Build(capacity),))},
+                    child, capacity)
+                assert short == {k: full[k] for k in child}
+                assert list(short) == list(child)
+
+
+def _partitions_brute(total, max_part):
+    """Every non-increasing tuple of parts <= max_part summing to total."""
+    return {tuple(sorted(c, reverse=True))
+            for k in range(total + 1)
+            for c in itertools.product(range(1, max_part + 1), repeat=k)
+            if sum(c) == total}
+
+
+def test_padded_family_is_pinned():
+    # pads are exercised elsewhere only by three hand-built cases
+    for seed in range(40):
+        inst = random_instance(seed, unit_demand=False, max_tokens=8)
+        for (eps, gamma, groups, pad_cap), pinned in PADDED_FAMILY.items():
+            params = DPParams(gamma=gamma, groups=groups,
+                              schedule=thresholds(inst.capacity, eps),
+                              pad_cap=pad_cap)
+            stats = {}
+            try:
+                sol = solve_structured(inst, eps, params, stats=stats)
+            except NoStructuredSolutionError:
+                got = None
+            else:
+                got = (sol.total_cost, stats["states"])
+                assert check_feasible(inst, sol).ok
+            assert got == pinned[seed], (seed, eps, gamma, groups, pad_cap)

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from treecvrp.baselines import flow_lower_bound
-from treecvrp.exact import (
-    OracleLimits, OracleSizeError, solve_exact, solve_exact_naive)
+from treecvrp.exact import OracleSizeError, solve_exact, solve_exact_naive
 from treecvrp.instance import TreeInstance
 from treecvrp.verify import check_feasible
 
@@ -43,7 +42,7 @@ def test_token_limit_enforced():
     inst = TreeInstance((-1, 0), (0, 1), (0, 15), 20)
     with pytest.raises(OracleSizeError):
         solve_exact(inst)
-    assert solve_exact(inst, OracleLimits(max_tokens=15)).total_cost == 2
+    assert solve_exact(inst, max_tokens=15).total_cost == 2
 
 
 def test_exact_agrees_with_naive_sample():

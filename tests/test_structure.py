@@ -9,7 +9,7 @@ from treecvrp.exact import solve_exact
 from treecvrp.generate import generate, stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import (
-    TransformInfeasible, TransformParams, bucket_partial_tours, coverage,
+    TransformInfeasible, TransformParams, _bucket_views, coverage,
     profile_complexity, thresholds, transform)
 from treecvrp.verify import check_feasible
 
@@ -21,6 +21,14 @@ def hub_instance(leaves=12, q=3):
     weight = (0, 1) + (1,) * leaves
     demand = (0, 0) + (1,) * leaves
     return TreeInstance(parent, weight, demand, q)
+
+
+def views_at(inst, sol, v, gamma=None, groups=1):
+    """The bucket views at v under thresholds(Q, 1/2); every bucket is small
+    unless ``gamma`` is given."""
+    here = coverage(inst, [t.as_dict() for t in sol.tours])[v]
+    return _bucket_views(here, v, thresholds(inst.capacity, 0.5),
+                         len(sol.tours) if gamma is None else gamma, groups)
 
 
 def hub_solution(inst, per_tour=3):
@@ -121,7 +129,7 @@ class TestBucketViews:
     def test_small_bucket_classification(self):
         inst = hub_instance()
         sol = hub_solution(inst)
-        views = bucket_partial_tours(inst, sol, 1, thresholds(3, 0.5))
+        views = views_at(inst, sol, 1)
         assert len(views) == 1
         assert views[0].small
         assert views[0].coverages == [3, 3, 3, 3]
@@ -129,8 +137,7 @@ class TestBucketViews:
     def test_big_bucket_grouping(self):
         inst = hub_instance()
         sol = hub_solution(inst)
-        views = bucket_partial_tours(inst, sol, 1, thresholds(3, 0.5),
-                                     gamma=2, groups=2)
+        views = views_at(inst, sol, 1, gamma=2, groups=2)
         (view,) = views
         assert not view.small
         assert len(view.groups) == 2
@@ -144,14 +151,13 @@ class TestBucketViews:
     def test_bucket_counts_partition_tours(self):
         inst = hub_instance()
         sol = hub_solution(inst, per_tour=2)
-        views = bucket_partial_tours(inst, sol, 1, thresholds(3, 0.5))
+        views = views_at(inst, sol, 1)
         assert sum(len(v.coverages) for v in views) == len(sol.tours)
 
     def test_twelve_singletons_group_into_fours(self):
         inst = hub_instance()
         sol = hub_solution(inst, per_tour=1)
-        (view,) = bucket_partial_tours(inst, sol, 1, thresholds(3, 0.5),
-                                       gamma=2, groups=3)
+        (view,) = views_at(inst, sol, 1, gamma=2, groups=3)
         assert not view.small
         assert [len(g) for g in view.groups] == [4, 4, 4]
         assert view.group_maxima == [1, 1, 1]
@@ -159,8 +165,7 @@ class TestBucketViews:
     def test_null_padding_in_front(self):
         inst = hub_instance(leaves=9)
         sol = hub_solution(inst)  # 3 tours
-        views = bucket_partial_tours(inst, sol, 1, thresholds(3, 0.5),
-                                     gamma=1, groups=2)
+        views = views_at(inst, sol, 1, gamma=1, groups=2)
         (view,) = views
         # 3 tours into 2 groups of 2: one null slot, padded at the front
         assert view.groups[0][0] is None
@@ -271,6 +276,12 @@ class TestTransform:
         assert rep.shortcut_savings == rep.sampled_cost - Fraction(1, 3)
         assert sol2.total_cost - sol.total_cost == \
             2 * (rep.sampled_cost - rep.shortcut_savings)
+
+    @pytest.mark.parametrize("groups", [0, -1])
+    def test_needs_a_group(self, groups):
+        inst = generate("random", 40, 3, "unit", 0)
+        with pytest.raises(ValueError, match="groups"):
+            transform(inst, itp_solve(inst), 1, TransformParams(1, groups), 0)
 
     def test_deterministic_per_seed(self):
         inst = stress_instance()
