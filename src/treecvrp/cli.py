@@ -80,12 +80,12 @@ def gen(shape, n, capacity, demand_model, seed, output):
 @click.option("--algo", type=click.Choice(["exact", "itp", "bicriteria",
                                            "qptas"]), default="exact")
 @eps_option
-@click.option("--gamma", type=int, default=None)
-@click.option("--groups", "-g", type=int, default=None)
+@click.option("--gamma", type=click.IntRange(min=0), default=None)
+@click.option("--groups", "-g", type=click.IntRange(min=0), default=None)
 @click.option("--pad-cap", type=click.IntRange(min=0), default=0)
 @click.option("--reduce-height", is_flag=True,
               help="Solve on the height-reduced tree and lift the result.")
-@click.option("--max-tokens", type=int, default=14,
+@click.option("--max-tokens", type=click.IntRange(min=0), default=14,
               help="Exact-oracle token limit.")
 @click.option("-o", "--output", default=None)
 def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,

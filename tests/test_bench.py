@@ -26,11 +26,11 @@ shape,n,Q,demand_model,seed,algorithm,eps,cost,reference,ref_value,ratio,states,
 random,6,3,unit,0,bicriteria,0.5,30,oracle,30,1,12,,
 random,6,3,unit,0,exact,0.5,30,oracle,30,1,,,
 random,6,3,unit,0,itp,0.5,30,oracle,30,1,,,
-random,6,3,unit,0,qptas,0.5,30,oracle,30,1,12,,
+random,6,3,unit,0,qptas,0.5,30,oracle,30,1,8,,
 random,6,3,unit,1,bicriteria,0.5,68,oracle,68,1,21,,
 random,6,3,unit,1,exact,0.5,68,oracle,68,1,,,
 random,6,3,unit,1,itp,0.5,76,oracle,68,19/17,,,
-random,6,3,unit,1,qptas,0.5,68,oracle,68,1,21,,
+random,6,3,unit,1,qptas,0.5,68,oracle,68,1,9,,
 star,4,2,unit,7,bicriteria,0.5,6,oracle,6,1,3,,
 star,4,2,unit,7,exact,0.5,6,oracle,6,1,,,
 star,4,2,unit,7,itp,0.5,6,oracle,6,1,,,

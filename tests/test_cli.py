@@ -257,3 +257,17 @@ def test_negative_pad_cap_is_usage_error(tmp_path):
     r = run("solve", str(inst_file), "--algo", "qptas", "--pad-cap", "-1")
     assert r.exit_code == 2, r.output
     assert "--pad-cap" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ("--algo", "qptas", "--gamma", "-1"),
+    ("--algo", "qptas", "--groups", "-1"),
+    ("--algo", "qptas", "--gamma", "-1", "--groups", "-1"),
+    ("--algo", "exact", "--max-tokens", "-5"),
+])
+def test_negative_counts_are_usage_errors(tmp_path, args):
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(generate("random", 8, 3, "unit", 0)))
+    r = run("solve", str(inst_file), *args)
+    assert r.exit_code == 2, r.output
+    assert args[2] in r.output

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
-    DPParams, NoStructuredSolutionError, ResourceLimitError, _Build,
-    _builds_to_solution, _own_tokens, charge_edge, default_eps_prime,
-    merge_child_table, solve_bicriteria, solve_structured)
+    DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound, _Build,
+    _builds_to_solution, _own_tokens, _structure_filter, _sweep, charge_edge,
+    default_eps_prime, merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact
 from treecvrp.generate import stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
@@ -22,55 +22,65 @@ from consistency import brute_consistent, check_consistency
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
-# (cost, stats["states"]) of solve_structured with pads, per seed of the
-# brute-force family below, keyed by (eps, gamma, g, pad_cap); None means
-# NoStructuredSolutionError. Recorded from the DP before the node's own tokens
-# were folded as one more child table.
+# (cost, stats["states"], unpruned states) of solve_structured with pads, per
+# seed of the brute-force family below, keyed by (eps, gamma, g, pad_cap);
+# None means NoStructuredSolutionError. The unpruned states were recorded
+# before the DP cut states by the deepening bound, which keeps a subset of
+# them; costs and None entries are as they were then.
 PADDED_FAMILY = {
     (Fraction(1, 2), 1, 0, 1): [
-        (44, 43), (12, 13), None, (10, 10), (12, 8), (18, 18), (50, 70),
-        (16, 6), (2, 4), (22, 23), None, (36, 50), (20, 13), (12, 10), (6, 3),
-        (2, 4), (22, 16), None, (12, 5), (42, 25), (32, 59), (20, 7), None,
-        (32, 42), None, None, None, (42, 21), (10, 4), (18, 18), (28, 21),
-        (8, 2), (6, 2), None, (20, 18), (8, 23), (16, 9), (28, 58), (48, 28),
-        (4, 5)],
+        (44, 19, 43), (12, 6, 13), None, (10, 3, 10), (12, 7, 8), (18, 12, 18),
+        (50, 27, 70), (16, 3, 6), (2, 3, 4), (22, 10, 23), None, (36, 16, 50),
+        (20, 8, 13), (12, 9, 10), (6, 2, 3), (2, 2, 4), (22, 12, 16), None,
+        (12, 3, 5), (42, 20, 25), (32, 25, 59), (20, 6, 7), None, (32, 14, 42),
+        None, None, None, (42, 10, 21), (10, 1, 4), (18, 10, 18), (28, 9, 21),
+        (8, 2, 2), (6, 1, 2), None, (20, 11, 18), (8, 10, 23), (16, 7, 9),
+        (28, 16, 58), (48, 20, 28), (4, 2, 5)],
     (Fraction(1, 2), 1, 0, 2): [
-        (44, 70), (12, 19), None, (10, 15), (12, 14), (18, 31), (50, 130),
-        (16, 7), (2, 7), (22, 37), None, (36, 87), (20, 21), (12, 18), (6, 5),
-        (2, 5), (22, 28), None, (12, 5), (42, 32), (32, 90), (20, 11), None,
-        (32, 63), None, None, None, (42, 26), (10, 6), (18, 24), (28, 28),
-        (8, 4), (6, 2), None, (20, 27), (8, 36), (16, 11), (28, 112),
-        (48, 47), (4, 7)],
+        (44, 19, 70), (12, 6, 19), None, (10, 3, 15), (12, 9, 14),
+        (18, 16, 31), (50, 35, 130), (16, 3, 7), (2, 4, 7), (22, 13, 37), None,
+        (36, 18, 87), (20, 10, 21), (12, 12, 18), (6, 3, 5), (2, 2, 5),
+        (22, 15, 28), None, (12, 3, 5), (42, 20, 32), (32, 29, 90),
+        (20, 8, 11), None, (32, 14, 63), None, None, None, (42, 10, 26),
+        (10, 1, 6), (18, 10, 24), (28, 10, 28), (8, 3, 4), (6, 1, 2), None,
+        (20, 12, 27), (8, 10, 36), (16, 7, 11), (28, 16, 112), (48, 25, 47),
+        (4, 2, 7)],
     (Fraction(1, 2), 2, 1, 1): [
-        (44, 203), (12, 51), (62, 79), (10, 24), (12, 12), (18, 43),
-        (50, 163), (16, 10), (2, 5), (22, 77), (30, 53), (36, 166), (20, 24),
-        (12, 15), (6, 5), (2, 6), (18, 62), (26, 182), (12, 16), (42, 58),
-        (32, 212), (20, 22), (10, 18), (32, 242), (38, 145), (26, 67),
-        (46, 102), (42, 87), (10, 11), (18, 35), (28, 67), (8, 3), (6, 4),
-        (62, 84), (20, 37), (8, 39), (16, 15), (28, 158), (48, 70), (4, 9)],
+        (44, 22, 203), (12, 8, 51), (62, 20, 79), (10, 3, 24), (12, 7, 12),
+        (18, 14, 43), (50, 29, 163), (16, 3, 10), (2, 3, 5), (22, 12, 77),
+        (30, 10, 53), (36, 18, 166), (20, 8, 24), (12, 9, 15), (6, 2, 5),
+        (2, 2, 6), (18, 12, 62), (26, 21, 182), (12, 4, 16), (42, 21, 58),
+        (32, 31, 212), (20, 8, 22), (10, 3, 18), (32, 18, 242), (38, 21, 145),
+        (26, 10, 67), (46, 14, 102), (42, 11, 87), (10, 1, 11), (18, 10, 35),
+        (28, 9, 67), (8, 2, 3), (6, 1, 4), (62, 13, 84), (20, 13, 37),
+        (8, 10, 39), (16, 7, 15), (28, 16, 158), (48, 22, 70), (4, 2, 9)],
     (Fraction(1, 2), 2, 1, 2): [
-        (44, 528), (12, 104), (62, 162), (10, 54), (12, 27), (18, 101),
-        (50, 427), (16, 18), (2, 10), (22, 190), (30, 112), (36, 438),
-        (20, 49), (12, 33), (6, 10), (2, 11), (18, 137), (26, 457), (12, 30),
-        (42, 122), (32, 551), (20, 46), (10, 33), (32, 639), (38, 331),
-        (26, 141), (46, 220), (42, 184), (10, 20), (18, 73), (28, 148),
-        (8, 6), (6, 7), (62, 177), (20, 77), (8, 98), (16, 28), (28, 481),
-        (48, 156), (4, 16)],
+        (44, 22, 528), (12, 8, 104), (62, 20, 162), (10, 3, 54), (12, 9, 27),
+        (18, 18, 101), (50, 37, 427), (16, 3, 18), (2, 4, 10), (22, 15, 190),
+        (30, 10, 112), (36, 20, 438), (20, 10, 49), (12, 12, 33), (6, 3, 10),
+        (2, 2, 11), (18, 14, 137), (26, 25, 457), (12, 4, 30), (42, 21, 122),
+        (32, 35, 551), (20, 10, 46), (10, 3, 33), (32, 18, 639), (38, 24, 331),
+        (26, 10, 141), (46, 14, 220), (42, 13, 184), (10, 1, 20), (18, 10, 73),
+        (28, 11, 148), (8, 3, 6), (6, 1, 7), (62, 13, 177), (20, 14, 77),
+        (8, 10, 98), (16, 7, 28), (28, 16, 481), (48, 27, 156), (4, 2, 16)],
     (Fraction(1, 4), 1, 1, 1): [
-        (44, 203), (12, 51), (62, 79), (10, 24), (12, 12), (18, 43),
-        (50, 163), (16, 10), (2, 5), (22, 77), (30, 53), (36, 166), (20, 24),
-        (12, 15), (6, 5), (2, 6), (18, 62), (26, 182), (12, 16), (42, 58),
-        (32, 212), (20, 22), (10, 18), (32, 242), (38, 145), (26, 67),
-        (46, 102), (42, 87), (10, 11), (18, 35), (28, 67), (8, 3), (6, 4),
-        (62, 84), (20, 37), (8, 39), (16, 15), (28, 158), (48, 70), (4, 9)],
+        (44, 22, 203), (12, 8, 51), (62, 20, 79), (10, 3, 24), (12, 7, 12),
+        (18, 14, 43), (50, 29, 163), (16, 3, 10), (2, 3, 5), (22, 12, 77),
+        (30, 10, 53), (36, 18, 166), (20, 8, 24), (12, 9, 15), (6, 2, 5),
+        (2, 2, 6), (18, 12, 62), (26, 21, 182), (12, 4, 16), (42, 21, 58),
+        (32, 31, 212), (20, 8, 22), (10, 3, 18), (32, 18, 242), (38, 21, 145),
+        (26, 10, 67), (46, 14, 102), (42, 11, 87), (10, 1, 11), (18, 10, 35),
+        (28, 9, 67), (8, 2, 3), (6, 1, 4), (62, 13, 84), (20, 13, 37),
+        (8, 10, 39), (16, 7, 15), (28, 16, 158), (48, 22, 70), (4, 2, 9)],
     (Fraction(1, 4), 1, 1, 2): [
-        (44, 528), (12, 104), (62, 162), (10, 54), (12, 27), (18, 101),
-        (50, 427), (16, 18), (2, 10), (22, 190), (30, 112), (36, 438),
-        (20, 49), (12, 33), (6, 10), (2, 11), (18, 137), (26, 457), (12, 30),
-        (42, 122), (32, 551), (20, 46), (10, 33), (32, 639), (38, 331),
-        (26, 141), (46, 220), (42, 184), (10, 20), (18, 73), (28, 148),
-        (8, 6), (6, 7), (62, 177), (20, 77), (8, 98), (16, 28), (28, 481),
-        (48, 156), (4, 16)],
+        (44, 22, 528), (12, 8, 104), (62, 20, 162), (10, 3, 54), (12, 9, 27),
+        (18, 18, 101), (50, 37, 427), (16, 3, 18), (2, 4, 10), (22, 15, 190),
+        (30, 10, 112), (36, 20, 438), (20, 10, 49), (12, 12, 33), (6, 3, 10),
+        (2, 2, 11), (18, 14, 137), (26, 25, 457), (12, 4, 30), (42, 21, 122),
+        (32, 35, 551), (20, 10, 46), (10, 3, 33), (32, 18, 639), (38, 24, 331),
+        (26, 10, 141), (46, 14, 220), (42, 13, 184), (10, 1, 20), (18, 10, 73),
+        (28, 11, 148), (8, 3, 6), (6, 1, 7), (62, 13, 177), (20, 14, 77),
+        (8, 10, 98), (16, 7, 28), (28, 16, 481), (48, 27, 156), (4, 2, 16)],
 }
 
 
@@ -312,6 +322,132 @@ class TestStructured:
         solve_structured(STAR, 0.5, stats=stats)
         assert stats["states"] > 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", -1), ("groups", -1), ("pad_cap", -1), ("max_states", 0)])
+    def test_params_reject_negative_counts(self, field, value):
+        fields = dict(gamma=1, groups=1, schedule=thresholds(4, 0.5))
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            DPParams(**fields)
+        DPParams(gamma=0, groups=0, schedule=fields["schedule"], pad_cap=0,
+                 max_states=1)
+
+
+def hub_tree(seed, hubs, capacity=5, leaves=(2, 4), max_tokens=None):
+    """Seeded depot with ``hubs`` bin-packing gadgets below it.
+
+    Each gadget is a heavy edge to a hub with ``leaves`` (a range) leaves of
+    demand in (Q/2, Q), so no two leaves share a tour and, with three leaves
+    or more, the flow bound is often loose at the heavy edge. Draws repeat
+    until the tokens are at most ``max_tokens``, which the smallest draw
+    must meet.
+    """
+    rng = random.Random(seed)
+    while True:
+        parent, weight, demand = [-1], [0], [0]
+        for _ in range(hubs):
+            hub = len(parent)
+            parent.append(0)
+            weight.append(rng.randint(10, 20))
+            demand.append(0)
+            for _ in range(rng.randint(*leaves)):
+                parent.append(hub)
+                weight.append(rng.randint(1, 9))
+                demand.append(rng.randint(capacity // 2 + 1, capacity - 1))
+        if max_tokens is None or sum(demand) <= max_tokens:
+            return TreeInstance(tuple(parent), tuple(weight), tuple(demand),
+                                capacity)
+
+
+def sweep_both_ways(inst, params):
+    """(cost, canonical solution) or the failing node, pruned and not."""
+    out = []
+    for bound in (None, _Bound(inst, params.pad_cap)):
+        try:
+            cost, builds = _sweep(inst, _structure_filter(params),
+                                  params.pad_cap, params.max_states,
+                                  bound=bound)
+        except NoStructuredSolutionError as exc:
+            out.append(exc.node)
+        else:
+            out.append((cost, _builds_to_solution(inst, builds).canonical()))
+    return out
+
+
+class TestBoundPruning:
+    """The deepening bound cuts states but never changes the answer."""
+
+    def test_one_round_per_depot_child_when_the_bound_is_tight(self):
+        stats = {}
+        assert solve_structured(STAR, 0.5, stats=stats).total_cost == 6
+        assert stats["rounds"] == 3
+
+    def test_failure_is_the_first_in_sweep_order(self):
+        # unpruned, nodes 1 and 2 each hold (1, 1) and (2,), over a budget
+        # of one state; the sweep of the whole tree in reversed topo order
+        # (4, 3, 6, 5, 2, 1) meets node 2 first. Pruned, (1, 1) would cross
+        # edge 1 or 2 twice, above the flow bound, so the budget holds.
+        inst = TreeInstance((-1, 0, 0, 1, 1, 2, 2), (0,) + (1,) * 6,
+                            (0, 0, 0, 1, 1, 1, 1), 2)
+        with pytest.raises(ResourceLimitError) as info:
+            solve_bicriteria(inst, 0.5, max_states=1)
+        assert info.value.node == 2
+        params = DPParams(gamma=9, groups=1, schedule=thresholds(2, 0.5),
+                          max_states=1)
+        assert solve_structured(inst, 0.5, params).total_cost == \
+            solve_exact(inst).total_cost == 12
+
+    def test_roadmap_hub_is_not_tight(self):
+        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 10, 9, 9, 9),
+                            (0, 0, 2, 2, 2), 3)
+        stats = {}
+        sol = solve_structured(inst, stats=stats)
+        assert flow_lower_bound(inst) == 94
+        assert sol.total_cost == solve_exact(inst).total_cost == 112
+        assert stats["rounds"] == 2
+
+    def test_hub_gadgets_match_exact(self):
+        loose = 0
+        for seed in range(32):
+            if seed % 2:  # one hub of 3 or 4 leaves, Q = 4 or 5
+                inst = hub_tree(seed, 1, 4 + seed % 4 // 2, (3, 4), 12)
+            else:  # two hubs of 1 to 3 leaves, Q = 5
+                inst = hub_tree(seed, 2, 5, (1, 3), 14)
+            opt = solve_exact(inst).total_cost
+            sol = solve_structured(inst)
+            assert sol.total_cost == opt, f"seed {seed}"
+            assert check_feasible(inst, sol).ok
+            loose += opt > flow_lower_bound(inst)
+        assert loose >= 8
+
+    def test_six_hubs_match_unpruned(self):
+        inst = hub_tree(0, 6, leaves=(4, 4))
+        assert 75 <= inst.total_demand <= 95
+        sched = thresholds(inst.capacity, 0.5)
+        for params in (DPParams.generous(inst),
+                       DPParams(gamma=1, groups=1, schedule=sched, pad_cap=1)):
+            unpruned, pruned = sweep_both_ways(inst, params)
+            assert pruned == unpruned
+        stats = {}
+        opt = solve_structured(inst, stats=stats).total_cost
+        assert opt == sweep_both_ways(inst, DPParams.generous(inst))[0][0]
+        assert opt > flow_lower_bound(inst) and stats["rounds"] > 6
+
+    def test_pruning_changes_nothing(self):
+        failed = 0
+        for seed in range(40):
+            inst = random_instance(seed, unit_demand=False, max_tokens=8)
+            for eps, gamma, groups in ((Fraction(1, 2), 1, 0),
+                                       (Fraction(1, 2), 2, 1),
+                                       (Fraction(1, 4), 1, 1)):
+                for pad_cap in (0, 1, 2):
+                    params = DPParams(gamma, groups,
+                                      thresholds(inst.capacity, eps), pad_cap)
+                    unpruned, pruned = sweep_both_ways(inst, params)
+                    assert pruned == unpruned, (seed, params)
+                    failed += isinstance(pruned, int)
+        assert failed > 0
+
 
 class TestCollapsedRoot:
     def test_depot_demand_above_capacity(self):
@@ -442,4 +578,6 @@ def test_padded_family_is_pinned():
             else:
                 got = (sol.total_cost, stats["states"])
                 assert check_feasible(inst, sol).ok
-            assert got == pinned[seed], (seed, eps, gamma, groups, pad_cap)
+                assert stats["states"] <= pinned[seed][2]
+            assert got == (pinned[seed] and pinned[seed][:2]), (
+                seed, eps, gamma, groups, pad_cap)
