@@ -165,7 +165,7 @@ def reduce(instance, eps, output):
 @click.argument("solution")
 @eps_option
 @click.option("--seed", type=int, default=0)
-@click.option("--gamma", type=int, default=None)
+@click.option("--gamma", type=click.IntRange(min=0), default=None)
 @click.option("--groups", "-g", type=click.IntRange(min=1), default=None)
 @click.option("--instance-out", default=None)
 @click.option("--solution-out", default=None)

@@ -69,6 +69,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .instance import Solution, Tour, TreeInstance, Weight
 from .structure import ThresholdSchedule, TransformParams, thresholds
@@ -110,7 +111,8 @@ class DPParams:
             raise ValueError("max_states must be at least 1")
 
     @classmethod
-    def generous(cls, inst: TreeInstance, eps: float = 0.5) -> "DPParams":
+    def generous(cls, inst: TreeInstance,
+                 eps: Fraction | float = Fraction(1, 2)) -> "DPParams":
         """Parameters making every bucket small; the DP is then exact."""
         return cls(gamma=inst.total_demand + 1, groups=1,
                    schedule=thresholds(inst.capacity, eps))
@@ -496,7 +498,8 @@ def _structure_filter(params: DPParams):
     return node_filter
 
 
-def solve_structured(inst: TreeInstance, eps: float = 0.5,
+def solve_structured(inst: TreeInstance,
+                     eps: Fraction | float = Fraction(1, 2),
                      params: DPParams | None = None,
                      stats: dict | None = None) -> Solution:
     """Cheapest solution whose every per-node profile is structured.

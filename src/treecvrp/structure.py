@@ -176,6 +176,8 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
               params: TransformParams, seed: int
               ) -> tuple[TreeInstance, Solution, TransformReport]:
     """Apply the bottom-up grouping/shift/repack procedure to ``sol``."""
+    if params.gamma < 0:
+        raise ValueError(f"need gamma >= 0, got {params.gamma}")
     if params.groups < 1:
         raise ValueError(f"need groups >= 1, got {params.groups}")
     rng = random.Random(seed)

@@ -147,6 +147,19 @@ def test_transform_needs_a_group(tmp_path, groups):
     assert "--groups" in r.output
 
 
+def test_transform_rejects_negative_gamma(tmp_path):
+    # a usage error, as for solve, not a resample failure (exit 1)
+    from treecvrp.baselines import itp_solve
+    inst = generate("random", 8, 3, "unit", 0)
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    sol_file.write_text(save_solution(itp_solve(inst)))
+    r = run("transform", str(inst_file), str(sol_file), "--gamma", "-1")
+    assert r.exit_code == 2, r.output
+    assert "--gamma" in r.output
+
+
 def test_solve_accepts_zero_groups(tmp_path):
     # the DP's g = 0 admits only small buckets, and is valid
     inst_file = tmp_path / "inst.txt"

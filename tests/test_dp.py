@@ -11,7 +11,6 @@ from treecvrp.dp import (
     DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound, _Build,
     _builds_to_solution, _own_tokens, _structure_filter, _sweep, charge_edge,
     default_eps_prime, merge_child_table, solve_bicriteria, solve_structured)
-from treecvrp.exact import solve_exact
 from treecvrp.generate import stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import TransformParams, profile_complexity, thresholds
@@ -19,6 +18,7 @@ from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
+from oracle import solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -172,7 +172,7 @@ class TestBicriteria:
     def test_never_above_optimum(self):
         for seed in range(30):
             inst = random_instance(seed, unit_demand=False, max_tokens=9)
-            opt = solve_exact(inst).total_cost
+            opt = solve_residual(inst).total_cost
             res = solve_bicriteria(inst, 0.5)
             assert res.solution.total_cost <= opt
 
@@ -192,7 +192,7 @@ class TestBicriteria:
                             max_tokens=12) for seed in range(8)]
         overshoots = 0
         for inst in family:
-            opt = solve_exact(inst).total_cost
+            opt = solve_residual(inst).total_cost
             for eps_prime in (0.25, 0.5, 1.0):
                 res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
                 bound = inst.capacity * (1 + eps_prime) ** (inst.height - 1)
@@ -227,7 +227,7 @@ class TestStructured:
     def test_generous_equals_exact(self):
         for seed in range(30):
             inst = random_instance(seed, unit_demand=False, max_tokens=9)
-            opt = solve_exact(inst).total_cost
+            opt = solve_residual(inst).total_cost
             sol = solve_structured(inst, 0.5)
             assert sol.total_cost == opt, f"seed {seed}"
             assert check_feasible(inst, sol).ok
@@ -332,6 +332,16 @@ class TestStructured:
         DPParams(gamma=0, groups=0, schedule=fields["schedule"], pad_cap=0,
                  max_states=1)
 
+    def test_generous_eps_is_exact(self):
+        # the schedule of every oracle call; the float 0.5 it replaced gave
+        # the same thresholds
+        params = DPParams.generous(STAR)
+        assert params.schedule.eps == Fraction(1, 2)
+        assert isinstance(params.schedule.eps, Fraction)
+        for q in range(1, 21):
+            assert thresholds(q, Fraction(1, 2)).sigma == \
+                thresholds(q, 0.5).sigma, q
+
 
 def hub_tree(seed, hubs, capacity=5, leaves=(2, 4), max_tokens=None):
     """Seeded depot with ``hubs`` bin-packing gadgets below it.
@@ -395,7 +405,7 @@ class TestBoundPruning:
         params = DPParams(gamma=9, groups=1, schedule=thresholds(2, 0.5),
                           max_states=1)
         assert solve_structured(inst, 0.5, params).total_cost == \
-            solve_exact(inst).total_cost == 12
+            solve_residual(inst).total_cost == 12
 
     def test_roadmap_hub_is_not_tight(self):
         inst = TreeInstance((-1, 0, 1, 1, 1), (0, 10, 9, 9, 9),
@@ -403,7 +413,7 @@ class TestBoundPruning:
         stats = {}
         sol = solve_structured(inst, stats=stats)
         assert flow_lower_bound(inst) == 94
-        assert sol.total_cost == solve_exact(inst).total_cost == 112
+        assert sol.total_cost == solve_residual(inst).total_cost == 112
         assert stats["rounds"] == 2
 
     def test_hub_gadgets_match_exact(self):
@@ -413,7 +423,7 @@ class TestBoundPruning:
                 inst = hub_tree(seed, 1, 4 + seed % 4 // 2, (3, 4), 12)
             else:  # two hubs of 1 to 3 leaves, Q = 5
                 inst = hub_tree(seed, 2, 5, (1, 3), 14)
-            opt = solve_exact(inst).total_cost
+            opt = solve_residual(inst).total_cost
             sol = solve_structured(inst)
             assert sol.total_cost == opt, f"seed {seed}"
             assert check_feasible(inst, sol).ok
@@ -453,7 +463,7 @@ class TestCollapsedRoot:
     def test_depot_demand_above_capacity(self):
         inst = TreeInstance((-1, 0, 0, 0, 3), (0, 1, 2, 3, 1),
                             (7, 1, 1, 0, 2), 3)
-        opt = solve_exact(inst).total_cost
+        opt = solve_residual(inst).total_cost
         sol = solve_structured(inst)
         res = solve_bicriteria(inst, 0.5)
         for s in (sol, res.solution):
@@ -465,7 +475,7 @@ class TestCollapsedRoot:
     def test_solvers_match_exact_with_depot_demand(self):
         for seed in range(30):
             inst = with_depot_demand(seed)
-            opt = solve_exact(inst).total_cost
+            opt = solve_residual(inst).total_cost
             sol = solve_structured(inst)
             assert sol.total_cost == opt, f"seed {seed}"
             assert check_feasible(inst, sol).ok

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from treecvrp import exact
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.exact import OracleSizeError, solve_exact, solve_exact_naive
+from treecvrp.generate import SHAPES, generate
 from treecvrp.instance import TreeInstance
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
+from oracle import solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 PATH = TreeInstance((-1, 0, 1), (0, 1, 2), (0, 1, 1), 2)
@@ -43,6 +46,45 @@ def test_token_limit_enforced():
     with pytest.raises(OracleSizeError):
         solve_exact(inst)
     assert solve_exact(inst, max_tokens=15).total_cost == 2
+
+
+@pytest.mark.parametrize("k", [0, 3, 14])
+def test_token_limit_is_checked_before_solving(k, monkeypatch):
+    def spread(tokens):  # over two leaves, so no node holds them all
+        return TreeInstance((-1, 0, 0), (0, 1, 2),
+                            (0, tokens - tokens // 2, tokens // 2), 2)
+
+    at_limit = solve_exact(spread(k), max_tokens=k)
+    assert at_limit.total_cost == solve_residual(spread(k)).total_cost
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved past the token limit")
+
+    monkeypatch.setattr(exact, "solve_structured", no_work)
+    with pytest.raises(OracleSizeError):
+        solve_exact(spread(k + 1), max_tokens=k)
+
+
+def test_matches_residual_oracle_on_bench_suite_shapes():
+    # the bench suite's instance shape: n=10, Q=3, unit demand
+    for shape in SHAPES:
+        for seed in range(40):
+            inst = generate(shape, 10, 3, "unit", seed)
+            sol = solve_exact(inst)
+            assert sol.total_cost == solve_residual(inst).total_cost, \
+                (shape, seed)
+            assert check_feasible(inst, sol).ok, (shape, seed)
+
+
+def test_hub_of_fourteen_unit_leaves():
+    # the residual-vector oracle walks 2**14 residual vectors here and takes
+    # seconds; its cost, 32, is pinned: two tours cross the hub edge and
+    # each leaf edge is crossed once
+    inst = TreeInstance((-1, 0) + (1,) * 14, (0,) + (1,) * 15,
+                        (0, 0) + (1,) * 14, 7)
+    sol = solve_exact(inst)
+    assert sol.total_cost == 32
+    assert check_feasible(inst, sol).ok
 
 
 def test_exact_agrees_with_naive_sample():

@@ -283,6 +283,11 @@ class TestTransform:
         with pytest.raises(ValueError, match="groups"):
             transform(inst, itp_solve(inst), 1, TransformParams(1, groups), 0)
 
+    def test_needs_nonnegative_gamma(self):
+        inst = generate("random", 8, 3, "unit", 0)
+        with pytest.raises(ValueError, match="gamma"):
+            transform(inst, itp_solve(inst), 0.5, TransformParams(-1, 1), 0)
+
     def test_deterministic_per_seed(self):
         inst = stress_instance()
         sol = solve_exact(inst)
