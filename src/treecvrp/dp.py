@@ -1,14 +1,22 @@
 """Approximation-scheme dynamic programs over per-node tour-size profiles.
 
 Both solvers sweep the tree bottom-up. A node's table maps a profile (the
-sorted multiset of sizes of the partial tours entering its subtree) to the
-cheapest witness realizing it. One fold, ``merge_child_table``, builds it:
-every child tour is either kept separate or merged into one distinct
-accumulated tour. The node's own tokens are one more child, folded last: a
-zero-cost table of every split of them, plus 0..pad_cap pads, into tours of at
-most Q. Then the solver's node filter (structure check or size rounding) runs
-once on the node's final profile, and finally the parent edge is charged once
-per tour.
+sorted multiset of sizes of the partial tours entering its subtree) to its
+cheapest cost and a back-pointer to how that cost was reached. One fold,
+``merge_child_table``, builds it: every child tour is either kept separate or
+merged into one distinct accumulated tour. The node's own tokens are one more
+child, folded last: a zero-cost table of every split of them, plus 0..pad_cap
+pads, into tours of at most Q. Then the solver's node filter (structure check
+or size rounding) runs once on the node's final profile, and finally the
+parent edge is charged once per tour.
+
+A table entry is ``(cost, back)``. ``back`` points at where the entry came
+from: ``None`` (the empty profile), ``(v, d)`` (node v's d tokens split as the
+key), the pair ``(acc_key, acc_back, child_key, child_back)`` whose fold first
+reached the key at the least cost, or the unrounded ``(key, back)`` of a
+bicriteria rounding that moved the key. ``_rebuild`` replays one pair's fold
+per back-pointer, without the bound (a branch it cuts holds more tours than the
+key), taking the first assignment whose sorted sizes equal the key.
 
 The depot is not folded. It has no parent edge and no bucket constraint, so
 merging tours there never changes the cost: the root entry is the sum of each
@@ -27,7 +35,7 @@ pads are stripped before the solution is returned.
 
 Profile enumeration is reachability-driven: only profiles realized by some
 combination of children exist in a table, and equal profiles keep the single
-cheapest witness. This yields the same optimum as the textbook table indexed
+cheapest entry. This yields the same optimum as the textbook table indexed
 by all profiles, without materializing the astronomically many unreachable
 entries.
 
@@ -125,31 +133,8 @@ class DPParams:
                    schedule=thresholds(inst.capacity, eps), pad_cap=pad_cap)
 
 
-@dataclass(frozen=True)
-class _Build:
-    """One partial tour: stored size plus its physical pickups.
-
-    Pads are not stored: in ``solve_structured`` a tour's pads are its size
-    minus the tokens in ``phys``.
-    """
-
-    size: int
-    phys: tuple[tuple[int, int], ...] = ()
-
-
-# table: profile key (sorted size tuple) -> (cost, tuple[_Build, ...])
+# table: profile key (sorted size tuple) -> (cost, back); module docstring
 Table = dict
-
-
-def _key(builds) -> tuple[int, ...]:
-    return tuple(sorted(b.size for b in builds))
-
-
-def _put(table: Table, builds, cost) -> None:
-    k = _key(builds)
-    cur = table.get(k)
-    if cur is None or cost < cur[0]:
-        table[k] = (cost, tuple(builds))
 
 
 def _check_budget(table: Table, budget: int, node: int) -> None:
@@ -234,64 +219,76 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
 
     Each child tour either stays a separate tour or merges into one distinct
     accumulated tour (sizes add, capped at the capacity). This is the B-table
-    step; costs simply add because edge charges live below. It is the only
-    fold: the node's own tokens and pads are its last child, the table of
-    ``_own_tokens``, and each existing tour takes at most one of their parts.
-    With a ``bound``, a pair of entries and every branch of its enumeration
-    are dropped as soon as they hold more tours than the bound allows.
+    step; costs add because edge charges live below, and each entry points back
+    at its pair. It is the only fold: the node's own tokens and pads are its
+    last child, the table of ``_own_tokens``, and each existing tour takes at
+    most one of their parts. With a ``bound``, a pair and every branch of its
+    enumeration are dropped once they hold more tours than the bound allows.
     """
-    # canonical order so equal-size child tours are interchangeable
-    entries = [(c_ch, tuple(sorted(ch_builds, key=lambda b: b.size)))
-               for c_ch, ch_builds in child.values()]
     if len(acc) == 1 and () in acc:
         # no tour to merge into: each child entry passes through, as the
         # enumeration below would yield it
         c_acc = acc[()][0]
-        out = {k: (c_acc + c, ch) for k, (c, ch) in zip(child, entries)
+        out = {k: (c_acc + c, b) for k, (c, b) in child.items()
                if bound is None or bound.keeps(c_acc + c, len(k))}
         _check_budget(out, budget, node)
         return out
     out: Table = {}
-    for c_acc, acc_builds in acc.values():
-        n_acc = len(acc_builds)
-        for c_ch, ch in entries:
+
+    def put(cur):
+        k = tuple(sorted(cur))
+        old = out.get(k)
+        if old is None or base < old[0]:
+            out[k] = (base, back)
+
+    for k_acc, (c_acc, b_acc) in acc.items():
+        for k_ch, (c_ch, b_ch) in child.items():
             base = c_acc + c_ch
-            # the result holds at least max(n_acc, len(ch)) tours, at most
-            # n_acc + len(ch)
-            most = n_acc + len(ch)
+            # the result holds max(len(k_acc), len(k_ch)) tours to their sum
+            most = len(k_acc) + len(k_ch)
             if bound is not None:
-                if not bound.keeps(base, max(n_acc, len(ch))):
+                if not bound.keeps(base, max(len(k_acc), len(k_ch))):
                     continue
                 most = bound.most_tours(base)
-
-            # choice encoding: slot index 0..n_acc-1 to merge, n_acc = separate
-            def assign(i: int, cur: tuple[_Build, ...], used: frozenset,
-                       prev_choice: int):
-                if i == len(ch):
-                    _put(out, cur, base)
-                    return
-                cb = ch[i]
-                # equal-size child tours take non-decreasing choices
-                floor = prev_choice if i and cb.size == ch[i - 1].size else 0
-                tried: set[int] = set()
-                for s in range(floor, n_acc):
-                    if s in used or cur[s].size in tried:
-                        continue
-                    tried.add(cur[s].size)
-                    merged = cur[s].size + cb.size
-                    if merged > capacity:
-                        continue
-                    nb = _Build(merged, cur[s].phys + cb.phys)
-                    assign(i + 1, cur[:s] + (nb,) + cur[s + 1:],
-                           used | {s}, s)
-                # keep separate (choice n_acc, repeatable) if the bound
-                # keeps one more tour; below ``most`` it surely does
-                if len(cur) < most or bound.keeps(base, len(cur) + 1):
-                    assign(i + 1, cur + (cb,), used, n_acc)
-
-            assign(0, tuple(acc_builds), frozenset(), 0)
+            back = (k_acc, b_acc, k_ch, b_ch)
+            _fold_pair(k_acc, k_ch, capacity, most,
+                       lambda tours: bound.keeps(base, tours), put)
             _check_budget(out, budget, node)
     return out
+
+
+def _fold_pair(slots, tours, capacity: int, most: int, keeps, emit) -> None:
+    """Call ``emit(cur)`` once per way to fold ``tours`` into ``slots``.
+
+    Each of ``tours`` (sorted by size) merges into one distinct slot, if the
+    sum fits the capacity, or starts a new tour; past ``most`` tours, only if
+    ``keeps(count)``. Equal-size tours take non-decreasing choices (a slot
+    index, or n = len(slots) for a new tour) and a tour tries one slot per
+    current size.
+    """
+    n, m = len(slots), len(tours)
+
+    def assign(i: int, cur: tuple, used: int, prev: int):
+        if i == m:
+            emit(cur)
+            return
+        t = tours[i]
+        floor = prev if i and t == tours[i - 1] else 0
+        tried = set()
+        for s in range(floor, n):
+            if used >> s & 1 or cur[s] in tried:
+                continue
+            tried.add(cur[s])
+            merged = cur[s] + t
+            if merged <= capacity:
+                assign(i + 1, cur[:s] + (merged,) + cur[s + 1:],
+                       used | 1 << s, s)
+        # below ``most`` one more tour is surely kept
+        if len(cur) < most or keeps(len(cur) + 1):
+            assign(i + 1, cur + (t,), used, n)
+
+    assign(0, tuple(slots), 0, 0)
+    del assign  # the closure refers to itself: free it now, not at a GC pass
 
 
 @functools.lru_cache(maxsize=1024)
@@ -307,22 +304,15 @@ def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 def _own_tokens(v: int, d: int, capacity: int, pad_cap: int) -> Table:
     """Node v's d tokens plus 0..pad_cap pads as a zero-cost child table.
 
-    One entry per partition into tours of at most ``capacity``. Folded
-    last, each existing tour takes at most one part and the other parts start
-    new tours, which reaches every way of handing the tokens out. Physical
-    tokens fill the parts first, largest part first; which tokens are the
-    physical ones does not change the DP value, only the witness.
+    One entry, of back ``(v, d)``, per partition into tours of at most
+    ``capacity``. Folded last, each existing tour takes at most one part and
+    the other parts start new tours, which reaches every way of handing the
+    tokens out. ``_rebuild`` fills the largest parts with physical tokens
+    first; which tokens are physical changes the witness, not the DP value.
     """
-    table: Table = {}
-    for total in range(d, d + pad_cap + 1):
-        for parts in _partitions(total, capacity):
-            builds, left = [], d
-            for p in parts:
-                ph = min(p, left)
-                left -= ph
-                builds.append(_Build(p, ((v, ph),) if ph else ()))
-            table[parts[::-1]] = (0, tuple(builds[::-1]))
-    return table
+    return {parts[::-1]: (0, (v, d))
+            for total in range(d, d + pad_cap + 1)
+            for parts in _partitions(total, capacity)}
 
 
 def charge_edge(table: Table, weight: Weight) -> Table:
@@ -336,10 +326,61 @@ def _round_down(size: int, sigma: tuple[int, ...]) -> int:
     return sigma[bisect.bisect_right(sigma, size) - 1]
 
 
+def _rebuild(key: tuple, back, capacity: int) -> list:
+    """The tours ``(size, phys)`` of the entry ``(key, back)``, in key order.
+
+    ``phys`` holds a tour's physical pickups; its pads are its size minus
+    their tokens. Back-pointers nest once per fold, so the entries are listed
+    parents first with an explicit stack, then rebuilt in reverse from the
+    tour lists on ``done``.
+    """
+    order, todo = [], [(key, back)]
+    while todo:
+        key, back = todo.pop()
+        order.append((key, back))
+        if back is not None and type(back[0]) is not int:
+            todo.extend(zip(back[::2], back[1::2]))
+    done = []
+    for key, back in reversed(order):
+        if back is None:
+            done.append([])
+        elif type(back[0]) is int:  # own tokens, largest part first
+            v, left = back
+            tours = []
+            for p in reversed(key):
+                tours.append((p, ((v, min(p, left)),) if left else ()))
+                left -= min(p, left)
+            done.append(tours[::-1])
+        elif len(back) == 2:  # rounded down: monotone, so key order holds
+            done.append([(size, phys)
+                         for size, (_, phys) in zip(key, done.pop())])
+        else:  # the first assignment of the pair that reaches the key
+            ch, acc, found = done.pop(), done.pop(), []
+
+            def match(cur):
+                if not found and tuple(sorted(cur)) == key:
+                    found.append(cur)
+            slots = [size for size, _ in acc]
+            _fold_pair(slots, [size for size, _ in ch], capacity,
+                       len(acc) + len(ch), None, match)
+            # what each slot took; equal sizes took ascending slots
+            took = [c - size for c, size in zip(found[0], slots)]
+            tours = [(c, phys) for c, (_, phys) in zip(found[0], acc)]
+            for size, phys in ch:
+                if size in took:
+                    s = took.index(size)
+                    took[s] = 0
+                    tours[s] = (tours[s][0], tours[s][1] + phys)
+                else:
+                    tours.append((size, phys))
+            done.append(sorted(tours, key=lambda t: t[0]))
+    return done.pop()
+
+
 def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
            stats: dict | None = None,
            bound: _Bound | None = None) -> tuple[Weight, list]:
-    """Bottom-up profile DP; returns the root entry ``(cost, builds)``.
+    """Bottom-up profile DP; returns the root's cost and its tours.
 
     ``node_filter`` runs once per non-depot node, on its profile after the
     node's own tokens are folded in; intermediate child folds are not node
@@ -354,7 +395,7 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
     error raised is the one the sweep of the whole tree in
     ``reversed(topo_order)`` meets first.
     """
-    cost, builds, failed = 0, [], []
+    cost, tours, failed = 0, [], []
     states = rounds = 0
     for t in inst.children[0]:
         # subtree(t) is topo_order restricted to it: reversed, every child
@@ -374,10 +415,11 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
         except (ResourceLimitError, NoStructuredSolutionError) as exc:
             failed.append(exc)
             continue
-        c, b = _best_entry(table)
+        key = min(table, key=lambda k: (table[k][0], len(k), k))
+        c, back = table[key]
         assert bound is None or c <= bound.ub
         cost += c
-        builds.extend(b)
+        tours.extend(_rebuild(key, back, inst.capacity))
         states += n
     if failed:
         order = inst.topo_order[::-1]
@@ -385,11 +427,11 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
     q, d0 = inst.capacity, inst.demand[0]
     for i in range(0, d0, q):
         size = min(q, d0 - i)
-        builds.append(_Build(size, ((0, size),)))
+        tours.append((size, ((0, size),)))
     if stats is not None:
         stats["states"] = states
         stats["rounds"] = rounds
-    return cost, builds
+    return cost, tours
 
 
 def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
@@ -405,7 +447,7 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
     for v in nodes:
         if bound is not None:
             bound.enter(v)
-        acc: Table = {(): (0, ())}
+        acc: Table = {(): (0, None)}
         for u in inst.children[v]:
             if bound is not None:
                 bound.folded(u)
@@ -426,21 +468,9 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
     return table.pop(nodes[-1]), states
 
 
-def _best_entry(table: Table):
-    best_key = min(table, key=lambda k: (table[k][0], len(k), k))
-    return table[best_key]
-
-
-def _builds_to_solution(inst: TreeInstance, builds) -> Solution:
-    """The builds' physical pickups as tours; pads are dropped."""
-    tours = []
-    for b in builds:
-        pick: Counter = Counter()
-        for v, c in b.phys:
-            pick[v] += c
-        if pick:
-            tours.append(Tour.of(pick))
-    return Solution.of(inst, tours)
+def _to_solution(inst: TreeInstance, tours) -> Solution:
+    """The tours' physical pickups as a solution; pads are dropped."""
+    return Solution.of(inst, [Tour.of(phys) for _, phys in tours if phys])
 
 
 @dataclass(frozen=True)
@@ -476,14 +506,14 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
 
     def node_filter(acc: Table) -> Table:
         out: Table = {}
-        for cost, builds in acc.values():
-            rounded = tuple(_Build(_round_down(b.size, sigma), b.phys)
-                            for b in builds)
-            _put(out, rounded, cost)
+        for key, (cost, back) in acc.items():
+            rounded = tuple(_round_down(size, sigma) for size in key)
+            if rounded not in out or cost < out[rounded][0]:
+                out[rounded] = (cost, back if rounded == key else (key, back))
         return out
 
-    cost, builds = _sweep(inst, node_filter, 0, max_states, stats)
-    sol = _builds_to_solution(inst, builds)
+    cost, tours = _sweep(inst, node_filter, 0, max_states, stats)
+    sol = _to_solution(inst, tours)
     max_load = max((t.load for t in sol.tours), default=0)
     grid_exact = sigma == tuple(range(1, inst.capacity + 1))
     return BicriteriaResult(sol, ep, max_load, cost, grid_exact)
@@ -523,10 +553,10 @@ def solve_structured(inst: TreeInstance,
     """
     if params is None:
         params = DPParams.generous(inst, eps)
-    _, builds = _sweep(inst, _structure_filter(params), params.pad_cap,
-                       params.max_states, stats,
-                       _Bound(inst, params.pad_cap))
-    sol = _builds_to_solution(inst, builds)
+    _, tours = _sweep(inst, _structure_filter(params), params.pad_cap,
+                      params.max_states, stats,
+                      _Bound(inst, params.pad_cap))
+    sol = _to_solution(inst, tours)
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})
     return sol

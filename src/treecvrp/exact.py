@@ -34,10 +34,12 @@ def solve_exact(inst: TreeInstance, max_tokens: int = 14) -> Solution:
     """Optimal solution via the profile DP at generous parameters.
 
     Raises ``OracleSizeError`` above ``max_tokens`` tokens before any work.
-    Ties resolve deterministically: each profile keeps the first cheapest
-    witness the DP builds, and each depot subtree takes its cheapest profile,
-    fewest tours first, then the smallest size tuple. Among optimal solutions
-    this need not be the one another exact solver returns.
+    Ties resolve deterministically: each profile points back at the first
+    cheapest pair of entries whose fold reaches it, and its witness is that
+    pair's first assignment of the profile's sizes; each depot subtree takes
+    its cheapest profile, fewest tours first, then the smallest size tuple.
+    Among optimal solutions this need not be the one another exact solver
+    returns.
     """
     total = inst.total_demand
     if total > max_tokens:

@@ -322,8 +322,12 @@ def load_instance(text: str) -> TreeInstance:
         parts = ln.split()
         try:
             if parts[0] == "n" and len(parts) == 2:
+                if n is not None:
+                    raise InstanceError("duplicate n line")
                 n = int(parts[1])
             elif parts[0] == "Q" and len(parts) == 2:
+                if q is not None:
+                    raise InstanceError("duplicate Q line")
                 q = int(parts[1])
             elif parts[0] == "edge" and len(parts) == 4:
                 edges.append((int(parts[1]), int(parts[2]), _parse_weight(parts[3])))
@@ -401,6 +405,8 @@ def load_solution(text: str) -> Solution:
                     pick[v] = c
                 tours.append(Tour.of(pick))  # zero counts are dropped
             elif parts[0] == "cost" and len(parts) == 2:
+                if cost is not None:
+                    raise InstanceError("duplicate cost line")
                 cost = _parse_weight(parts[1])
             else:
                 raise InstanceError(f"unrecognized solution line: {ln!r}")

@@ -13,7 +13,7 @@ import pytest
 
 from treecvrp.baselines import flow_lower_bound, itp_solve
 from treecvrp.bench import run_suite
-from treecvrp.dp import (DPParams, _Build, _own_tokens, _partitions,
+from treecvrp.dp import (DPParams, _own_tokens, _partitions,
                          merge_child_table, solve_bicriteria, solve_structured)
 from treecvrp.exact import solve_exact, solve_exact_naive
 from treecvrp.generate import generate, stress_instance
@@ -139,10 +139,10 @@ def test_criterion_5_height_reduction_sandwich():
 def _fold(o_v, z1, z2, capacity):
     """Profiles the DP makes from child profiles z1, z2 and o_v node tokens:
     the tokens' table is folded last, as the sweep does."""
-    acc = {(): (0, ())}
+    acc = {(): (0, None)}
     for z in (z1, z2):
-        child = {z: (0, tuple(_Build(size) for size in z))}
-        acc = merge_child_table(acc, child, capacity)
+        # the fold reads keys and costs; no witness is rebuilt here
+        acc = merge_child_table(acc, {z: (0, None)}, capacity)
     return set(merge_child_table(acc, _own_tokens(1, o_v, capacity, 0),
                                  capacity))
 

@@ -253,6 +253,27 @@ def test_usage_error_on_bad_instance(tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("line", ["n 4", "Q 3"])
+def test_usage_error_on_repeated_instance_line(tmp_path, line):
+    inst_file = tmp_path / "inst.txt"
+    text = save_instance(generate("star", 4, 2, "unit", 7))
+    inst_file.write_text(text + line + "\n")
+    r = run("solve", str(inst_file))
+    assert r.exit_code == 2, r.output
+    assert f"duplicate {line[0]} line" in r.output
+
+
+def test_usage_error_on_repeated_cost_line(tmp_path):
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    sol_file.write_text("tour 1:1\ncost 5\ncost 7\n")
+    for cmd in ("verify", "transform"):
+        r = run(cmd, str(inst_file), str(sol_file))
+        assert r.exit_code == 2, r.output
+        assert "duplicate cost line" in r.output
+
+
 @pytest.mark.parametrize("eps", [0, -1, "x"])
 def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     config = tmp_path / "suite.json"

@@ -2,15 +2,17 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
-    DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound, _Build,
-    _builds_to_solution, _own_tokens, _structure_filter, _sweep, charge_edge,
-    default_eps_prime, merge_child_table, solve_bicriteria, solve_structured)
+    DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound,
+    _own_tokens, _rebuild, _structure_filter, _sweep, _to_solution,
+    charge_edge, default_eps_prime, merge_child_table, solve_bicriteria,
+    solve_structured)
 from treecvrp.generate import stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import TransformParams, profile_complexity, thresholds
@@ -374,13 +376,13 @@ def sweep_both_ways(inst, params):
     out = []
     for bound in (None, _Bound(inst, params.pad_cap)):
         try:
-            cost, builds = _sweep(inst, _structure_filter(params),
-                                  params.pad_cap, params.max_states,
-                                  bound=bound)
+            cost, tours = _sweep(inst, _structure_filter(params),
+                                 params.pad_cap, params.max_states,
+                                 bound=bound)
         except NoStructuredSolutionError as exc:
             out.append(exc.node)
         else:
-            out.append((cost, _builds_to_solution(inst, builds).canonical()))
+            out.append((cost, _to_solution(inst, tours).canonical()))
     return out
 
 
@@ -492,42 +494,42 @@ class TestTableHelpers:
         assert charged[(3,)][0] == 4 + 2 * 5 * 1
 
     def test_merge_respects_capacity(self):
-        acc = {(2,): (0, (_Build(2),))}
-        child = {(3,): (0, (_Build(3),))}
+        acc = {(2,): (0, (5, 2))}
+        child = {(3,): (0, (6, 3))}
         merged = merge_child_table(acc, child, capacity=4)
         # 2+3 > 4: only the "keep separate" outcome exists
         assert set(merged) == {(2, 3)}
         roomy = merge_child_table(acc, child, capacity=6)
         assert set(roomy) == {(2, 3), (5,)}
+        assert witnesses(roomy, 6)[(5,)] == (0, [(5, ((5, 2), (6, 3)))])
 
     def test_own_tokens_spawn_new_tours(self):
-        out = merge_child_table({(): (0, ())}, _own_tokens(1, 3, 2, 0),
+        out = merge_child_table({(): (0, None)}, _own_tokens(1, 3, 2, 0),
                                 capacity=2)
         assert set(out) == {(1, 2), (1, 1, 1)}
 
     def test_own_tokens_join_existing_tours(self):
-        # a tour of size 1 takes 0 or 2 of the node's 2 tokens, or 1 while
-        # the other starts a new tour; (1, 2) keeps its first witness
-        acc = {(1,): (5, (_Build(1, ((2, 1),)),))}
+        # a tour of size 1 (node 2's token) takes 0 or 2 of the node's 2
+        # tokens, or 1 while the other starts a new tour; (1, 2) keeps its
+        # first witness
+        acc = {(1,): (5, (2, 1))}
         out = merge_child_table(acc, _own_tokens(1, 2, 3, 0), capacity=3)
-        assert out == {
-            (3,): (5, (_Build(3, ((2, 1), (1, 2))),)),
-            (1, 2): (5, (_Build(1, ((2, 1),)), _Build(2, ((1, 2),)))),
-            (1, 1, 1): (5, (_Build(1, ((2, 1),)), _Build(1, ((1, 1),)),
-                            _Build(1, ((1, 1),)))),
+        assert witnesses(out, 3) == {
+            (3,): (5, [(3, ((2, 1), (1, 2)))]),
+            (1, 2): (5, [(1, ((2, 1),)), (2, ((1, 2),))]),
+            (1, 1, 1): (5, [(1, ((2, 1),)), (1, ((1, 1),)), (1, ((1, 1),))]),
         }
 
     def test_pads_tracked_separately(self):
         # two pads raise a tour of load 1 to size 3; they never enter phys,
         # and the solution keeps only the physical pickup
         inst = TreeInstance((-1, 0, 1), (0, 1, 1), (0, 0, 1), 3)
-        table = {(1,): (0, (_Build(1, phys=((2, 1),)),))}
+        table = {(1,): (0, (2, 1))}
         out = merge_child_table(table, _own_tokens(1, 0, 3, 2), capacity=3)
         assert (3,) in out
-        (build,) = out[(3,)][1]
-        assert build.phys == ((2, 1),)
-        assert build.size == 3
-        sol = _builds_to_solution(inst, (build,))
+        (tour,) = _rebuild((3,), out[(3,)][1], 3)
+        assert tour == (3, ((2, 1),))
+        sol = _to_solution(inst, (tour,))
         assert sol.tours == (Tour(((2, 1),)),)
 
     def test_own_tokens_fill_physical_tokens_first(self):
@@ -536,7 +538,7 @@ class TestTableHelpers:
                               for z in _partitions_brute(total, 4)}
         assert all(cost == 0 for cost, _ in table.values())
         # 3 tokens and 2 pads as (1, 4): the size-4 tour holds the 3 tokens
-        assert table[(1, 4)][1] == (_Build(1), _Build(4, ((4, 3),)))
+        assert witnesses(table, 4)[(1, 4)] == (0, [(1, ()), (4, ((4, 3),))])
 
     def test_empty_profile_shortcut_equals_enumeration(self):
         # folding into the single empty profile passes the child through; a
@@ -551,17 +553,104 @@ class TestTableHelpers:
                     sizes = [rng.randint(1, capacity)
                              for _ in range(rng.randint(0, 4))]
                     rng.shuffle(sizes)
-                    builds = tuple(_Build(s, ((rng.randint(1, 9), s),))
-                                   for s in sizes)
-                    child.setdefault(tuple(sorted(sizes)),
-                                     (rng.randint(0, 20), builds))
-                short = merge_child_table({(): (7, ())}, child, capacity)
+                    key, back = entry_of([(rng.randint(1, 9), s)
+                                          for s in sizes])
+                    child.setdefault(key, (rng.randint(0, 20), back))
+                short = merge_child_table({(): (7, None)}, child, capacity)
                 guard = (capacity,)
                 full = merge_child_table(
-                    {(): (7, ()), guard: (10 ** 6, (_Build(capacity),))},
+                    {(): (7, None), guard: (10 ** 6, (0, capacity))},
                     child, capacity)
-                assert short == {k: full[k] for k in child}
+                full = witnesses(full, capacity)
+                assert witnesses(short, capacity) == {k: full[k]
+                                                      for k in child}
                 assert list(short) == list(child)
+
+
+class TestRebuild:
+    """Witnesses rebuilt from back-pointers."""
+
+    def test_deep_path_needs_no_recursion(self):
+        # one fold per node nests the back-pointers about 1100 deep, past
+        # the interpreter's default recursion limit of 1000
+        n = 1100
+        inst = TreeInstance((-1,) + tuple(range(n - 1)), (0,) + (1,) * (n - 1),
+                            tuple(2 if v % 100 == 99 else 0 for v in range(n)),
+                            3)
+        for sol in (solve_structured(inst),
+                    solve_bicriteria(inst, 0.5).solution):
+            assert sol.total_cost == 9584
+            assert check_feasible(inst, sol).ok
+
+    def test_replayed_pairs_match_the_fold(self):
+        # every entry a fold makes rebuilds to tours of its key's sizes, each
+        # one accumulated tour, one child tour or one of each, using every
+        # tour of the pair its back names, at the pair's cost
+        rng = random.Random(5)
+        for capacity in (3, 4, 6):
+            for _ in range(30):
+                acc, child = {}, {}
+                for table, first in ((acc, 1), (child, 20)):
+                    for _ in range(rng.randint(1, 4)):
+                        key, back = entry_of(
+                            [(first + j, rng.randint(1, capacity))
+                             for j in range(rng.randint(1, 4))])
+                        table.setdefault(key, (rng.randint(0, 9), back))
+                for key, (cost, back) in merge_child_table(
+                        acc, child, capacity).items():
+                    k_acc, b_acc, k_ch, b_ch = back
+                    assert cost == acc[k_acc][0] + child[k_ch][0]
+                    left = (_rebuild(k_acc, b_acc, capacity) +
+                            _rebuild(k_ch, b_ch, capacity))
+                    tours = _rebuild(key, back, capacity)
+                    assert tuple(size for size, _ in tours) == key
+                    for size, phys in tours:
+                        parts = [t for t in left if t[1] in (
+                            phys, phys[:1], phys[1:])]
+                        assert sum(p for p, _ in parts) == size <= capacity
+                        assert tuple(v for _, ph in parts for v in ph) == phys
+                        for t in parts:
+                            left.remove(t)
+                    assert not left
+
+    def test_sweep_cost_is_solution_cost(self, monkeypatch):
+        # at pad_cap 0 every tour holds a physical token, so the DP pays for
+        # exactly the edges its tours cross: a replay that rebuilt a witness
+        # of another key would show here
+        monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+        from workloads import hub_instances
+        family = [random_instance(seed, unit_demand=False, max_tokens=8)
+                  for seed in range(40)] + hub_instances(1)
+        checked = 0
+        for inst in family:
+            sched = thresholds(inst.capacity, Fraction(1, 2))
+            for params in (DPParams(gamma=1, groups=1, schedule=sched),
+                           DPParams.defaults(inst, 0.5)):
+                try:
+                    cost, tours = _sweep(inst, _structure_filter(params), 0,
+                                         params.max_states,
+                                         bound=_Bound(inst, 0))
+                except NoStructuredSolutionError:
+                    continue
+                assert cost == _to_solution(inst, tours).total_cost, inst
+                checked += 1
+        assert checked > 100
+
+
+def entry_of(tours):
+    """A table entry (key, back) whose rebuilt tours are ``tours``, given as
+    (node, size) pairs: each tour is one node's tokens, folded in as a tour
+    of its own."""
+    key, back = (), None
+    for v, size in tours:
+        key, back = (tuple(sorted(key + (size,))),
+                     (key, back, (size,), (v, size)))
+    return key, back
+
+
+def witnesses(table, capacity):
+    """Each entry's cost and rebuilt tours, as (size, phys) pairs."""
+    return {k: (c, _rebuild(k, b, capacity)) for k, (c, b) in table.items()}
 
 
 def _partitions_brute(total, max_part):

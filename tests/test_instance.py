@@ -277,6 +277,19 @@ def test_load_solution_rejects_bad_pickups(line):
         load_solution(f"{line}\ncost 2\n")
 
 
+def test_load_solution_rejects_second_cost_line():
+    with pytest.raises(InstanceError, match="duplicate cost line"):
+        load_solution("tour 1:1\ncost 5\ncost 7\n")
+
+
+@pytest.mark.parametrize("line", ["n 3", "Q 5"])
+def test_load_instance_rejects_second_n_or_q_line(line):
+    text = "cvrp-tree v1\nn 2\nQ 2\nedge 0 1 1\n"
+    load_instance(text)
+    with pytest.raises(InstanceError, match=f"duplicate {line[0]} line"):
+        load_instance(text + line + "\n")
+
+
 def test_load_instance_rejects_garbage():
     with pytest.raises(InstanceError):
         load_instance("not a header\n")
