@@ -171,9 +171,13 @@ def reduce(instance, eps, output):
 @click.option("--solution-out", default=None)
 def transform_cmd(instance, solution, eps, seed, gamma, groups, instance_out,
                   solution_out):
-    """Apply the structure transform; print a JSON report."""
+    """Apply the structure transform to a feasible solution; print a JSON
+    report."""
     inst = _load_inst(instance)
     sol = _load_sol(solution)
+    rep = check_feasible(inst, sol)
+    if not rep.ok:
+        raise click.UsageError(f"infeasible solution: {rep.violations[0]}")
     params = TransformParams.defaults(inst.n, eps)
     if gamma is not None or groups is not None:
         params = TransformParams(

@@ -12,11 +12,11 @@ parent edge is charged once per tour.
 
 A table entry is ``(cost, back)``. ``back`` points at where the entry came
 from: ``None`` (the empty profile), ``(v, d)`` (node v's d tokens split as the
-key), the pair ``(acc_key, acc_back, child_key, child_back)`` whose fold first
-reached the key at the least cost, or the unrounded ``(key, back)`` of a
-bicriteria rounding that moved the key. ``_rebuild`` replays one pair's fold
-per back-pointer, without the bound (a branch it cuts holds more tours than the
-key), taking the first assignment whose sorted sizes equal the key.
+key), ``(acc_key, acc_back, child_key, child_back, cur)`` for the pair whose
+fold first reached the key at the least cost, or the unrounded ``(key, back)``
+of a bicriteria rounding that moved the key. ``cur`` is the pair's first
+assignment of the key's sizes: the accumulated tours' sizes after the fold, in
+slot order, then the new tours. ``_rebuild`` reads it to join tours.
 
 The depot is not folded. It has no parent edge and no bucket constraint, so
 merging tours there never changes the cost: the root entry is the sum of each
@@ -219,11 +219,12 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
 
     Each child tour either stays a separate tour or merges into one distinct
     accumulated tour (sizes add, capped at the capacity). This is the B-table
-    step; costs add because edge charges live below, and each entry points back
-    at its pair. It is the only fold: the node's own tokens and pads are its
-    last child, the table of ``_own_tokens``, and each existing tour takes at
-    most one of their parts. With a ``bound``, a pair and every branch of its
-    enumeration are dropped once they hold more tours than the bound allows.
+    step; costs add because edge charges live below, and each entry keeps the
+    pair and the assignment that first reached its key. It is the only fold:
+    the node's own tokens and pads are its last child, the table of
+    ``_own_tokens``, and each existing tour takes at most one of their parts.
+    With a ``bound``, a pair and every branch of its enumeration are dropped
+    once they hold more tours than the bound allows.
     """
     if len(acc) == 1 and () in acc:
         # no tour to merge into: each child entry passes through, as the
@@ -235,45 +236,18 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
         return out
     out: Table = {}
 
-    def put(cur):
-        k = tuple(sorted(cur))
-        old = out.get(k)
-        if old is None or base < old[0]:
-            out[k] = (base, back)
-
-    for k_acc, (c_acc, b_acc) in acc.items():
-        for k_ch, (c_ch, b_ch) in child.items():
-            base = c_acc + c_ch
-            # the result holds max(len(k_acc), len(k_ch)) tours to their sum
-            most = len(k_acc) + len(k_ch)
-            if bound is not None:
-                if not bound.keeps(base, max(len(k_acc), len(k_ch))):
-                    continue
-                most = bound.most_tours(base)
-            back = (k_acc, b_acc, k_ch, b_ch)
-            _fold_pair(k_acc, k_ch, capacity, most,
-                       lambda tours: bound.keeps(base, tours), put)
-            _check_budget(out, budget, node)
-    return out
-
-
-def _fold_pair(slots, tours, capacity: int, most: int, keeps, emit) -> None:
-    """Call ``emit(cur)`` once per way to fold ``tours`` into ``slots``.
-
-    Each of ``tours`` (sorted by size) merges into one distinct slot, if the
-    sum fits the capacity, or starts a new tour; past ``most`` tours, only if
-    ``keeps(count)``. Equal-size tours take non-decreasing choices (a slot
-    index, or n = len(slots) for a new tour) and a tour tries one slot per
-    current size.
-    """
-    n, m = len(slots), len(tours)
-
     def assign(i: int, cur: tuple, used: int, prev: int):
+        # tour i of the sorted child key joins a free slot or starts a new
+        # tour; equal sizes take non-decreasing choices (n = a new tour) and
+        # a tour tries one slot per current size
         if i == m:
-            emit(cur)
+            k = tuple(sorted(cur))
+            old = out.get(k)
+            if old is None or base < old[0]:
+                out[k] = (base, (k_acc, b_acc, k_ch, b_ch, cur))
             return
-        t = tours[i]
-        floor = prev if i and t == tours[i - 1] else 0
+        t = k_ch[i]
+        floor = prev if i and t == k_ch[i - 1] else 0
         tried = set()
         for s in range(floor, n):
             if used >> s & 1 or cur[s] in tried:
@@ -284,11 +258,25 @@ def _fold_pair(slots, tours, capacity: int, most: int, keeps, emit) -> None:
                 assign(i + 1, cur[:s] + (merged,) + cur[s + 1:],
                        used | 1 << s, s)
         # below ``most`` one more tour is surely kept
-        if len(cur) < most or keeps(len(cur) + 1):
+        if len(cur) < most or bound.keeps(base, len(cur) + 1):
             assign(i + 1, cur + (t,), used, n)
 
-    assign(0, tuple(slots), 0, 0)
-    del assign  # the closure refers to itself: free it now, not at a GC pass
+    try:
+        for k_acc, (c_acc, b_acc) in acc.items():
+            n = len(k_acc)
+            for k_ch, (c_ch, b_ch) in child.items():
+                base, m = c_acc + c_ch, len(k_ch)
+                # the result holds max(n, m) tours to their sum
+                most = n + m
+                if bound is not None:
+                    if not bound.keeps(base, max(n, m)):
+                        continue
+                    most = bound.most_tours(base)
+                assign(0, k_acc, 0, 0)
+                _check_budget(out, budget, node)
+    finally:
+        del assign  # it refers to itself: free it now, not at a GC pass
+    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -326,20 +314,23 @@ def _round_down(size: int, sigma: tuple[int, ...]) -> int:
     return sigma[bisect.bisect_right(sigma, size) - 1]
 
 
-def _rebuild(key: tuple, back, capacity: int) -> list:
+def _rebuild(key: tuple, back) -> list:
     """The tours ``(size, phys)`` of the entry ``(key, back)``, in key order.
 
     ``phys`` holds a tour's physical pickups; its pads are its size minus
     their tokens. Back-pointers nest once per fold, so the entries are listed
     parents first with an explicit stack, then rebuilt in reverse from the
-    tour lists on ``done``.
+    tour lists on ``done``. A pair's tours are joined as its stored
+    assignment ``cur`` says, each child tour into the lowest slot that took
+    its size.
     """
     order, todo = [], [(key, back)]
     while todo:
         key, back = todo.pop()
         order.append((key, back))
         if back is not None and type(back[0]) is not int:
-            todo.extend(zip(back[::2], back[1::2]))
+            # a pair's two entries, or a rounding's unrounded entry
+            todo += [back[:2], back[2:4]] if len(back) == 5 else [back]
     done = []
     for key, back in reversed(order):
         if back is None:
@@ -354,18 +345,11 @@ def _rebuild(key: tuple, back, capacity: int) -> list:
         elif len(back) == 2:  # rounded down: monotone, so key order holds
             done.append([(size, phys)
                          for size, (_, phys) in zip(key, done.pop())])
-        else:  # the first assignment of the pair that reaches the key
-            ch, acc, found = done.pop(), done.pop(), []
-
-            def match(cur):
-                if not found and tuple(sorted(cur)) == key:
-                    found.append(cur)
-            slots = [size for size, _ in acc]
-            _fold_pair(slots, [size for size, _ in ch], capacity,
-                       len(acc) + len(ch), None, match)
+        else:  # the pair's stored assignment, in slot order
+            ch, acc, cur = done.pop(), done.pop(), back[4]
             # what each slot took; equal sizes took ascending slots
-            took = [c - size for c, size in zip(found[0], slots)]
-            tours = [(c, phys) for c, (_, phys) in zip(found[0], acc)]
+            took = [c - size for c, (size, _) in zip(cur, acc)]
+            tours = [(c, phys) for c, (_, phys) in zip(cur, acc)]
             for size, phys in ch:
                 if size in took:
                     s = took.index(size)
@@ -419,7 +403,7 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
         c, back = table[key]
         assert bound is None or c <= bound.ub
         cost += c
-        tours.extend(_rebuild(key, back, inst.capacity))
+        tours.extend(_rebuild(key, back))
         states += n
     if failed:
         order = inst.topo_order[::-1]

@@ -158,7 +158,6 @@ class TransformReport:
     pad_tokens: int = 0
     sampled_ids: list[int] = field(default_factory=list)
     big_buckets: int = 0
-    distinct_sizes: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def shortcut_savings(self) -> Weight:
@@ -242,7 +241,6 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     inst2 = inst.replace(demand=tuple(d + p for d, p in zip(inst.demand, pad_demand)))
     sol2 = Solution.of(inst2, (Tour.of(p) for p in all_picks))
     report.cost_after = sol2.total_cost
-    report.distinct_sizes = profile_complexity(inst2, sol2, schedule, params).distinct_sizes
     return inst2, sol2, report
 
 

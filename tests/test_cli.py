@@ -160,6 +160,23 @@ def test_transform_rejects_negative_gamma(tmp_path):
     assert "--gamma" in r.output
 
 
+@pytest.mark.parametrize("line, violation", [
+    ("tour 99:1", "tour 0: unknown node 99"),
+    ("tour -1:1", "tour 0: unknown node -1"),  # not node 7, n - 1
+    ("tour 1:5", "tour 0: load 5 exceeds capacity 3"),
+])
+def test_transform_rejects_infeasible_solution(tmp_path, line, violation):
+    # checked before the transform reads it: a usage error naming the first
+    # violation, not a traceback or a report on another solution
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(generate("random", 8, 3, "unit", 0)))
+    sol_file.write_text(f"{line}\ncost 2\n")
+    r = run("transform", str(inst_file), str(sol_file))
+    assert r.exit_code == 2, r.output
+    assert f"infeasible solution: {violation}" in r.output
+
+
 def test_solve_accepts_zero_groups(tmp_path):
     # the DP's g = 0 admits only small buckets, and is valid
     inst_file = tmp_path / "inst.txt"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -501,7 +502,36 @@ class TestTableHelpers:
         assert set(merged) == {(2, 3)}
         roomy = merge_child_table(acc, child, capacity=6)
         assert set(roomy) == {(2, 3), (5,)}
-        assert witnesses(roomy, 6)[(5,)] == (0, [(5, ((5, 2), (6, 3)))])
+        assert witnesses(roomy)[(5,)] == (0, [(5, ((5, 2), (6, 3)))])
+
+    def test_merge_leaves_no_reference_cycle(self):
+        # the fold's enumeration refers to itself; freed on every exit, a
+        # merge leaves nothing for the garbage collector, whether bounded,
+        # unbounded or stopped by the state budget
+        inst = TreeInstance((-1, 0, 1, 1), (0, 3, 1, 2), (0, 1, 2, 2), 3)
+        acc = merge_child_table({(): (0, None)}, _own_tokens(2, 2, 3, 0), 3)
+        child = _own_tokens(3, 2, 3, 0)
+        bound = _Bound(inst, 0)
+        bound.start(1)
+        bound.enter(1)
+        bound.folded(2)
+        bound.folded(3)
+        gc.collect()
+        gc.disable()
+        try:
+            assert merge_child_table(acc, child, 3, bound=bound)
+            merged = merge_child_table(acc, child, 3)
+            assert len(acc) > 1 and len(merged) > 1
+            assert merge_child_table(merged, _own_tokens(1, 1, 3, 0), 3)
+            try:
+                merge_child_table(acc, child, 3, budget=1, node=1)
+            except ResourceLimitError:
+                pass
+            else:
+                pytest.fail("the budget of 1 state was not enforced")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_own_tokens_spawn_new_tours(self):
         out = merge_child_table({(): (0, None)}, _own_tokens(1, 3, 2, 0),
@@ -514,7 +544,7 @@ class TestTableHelpers:
         # first witness
         acc = {(1,): (5, (2, 1))}
         out = merge_child_table(acc, _own_tokens(1, 2, 3, 0), capacity=3)
-        assert witnesses(out, 3) == {
+        assert witnesses(out) == {
             (3,): (5, [(3, ((2, 1), (1, 2)))]),
             (1, 2): (5, [(1, ((2, 1),)), (2, ((1, 2),))]),
             (1, 1, 1): (5, [(1, ((2, 1),)), (1, ((1, 1),)), (1, ((1, 1),))]),
@@ -527,7 +557,7 @@ class TestTableHelpers:
         table = {(1,): (0, (2, 1))}
         out = merge_child_table(table, _own_tokens(1, 0, 3, 2), capacity=3)
         assert (3,) in out
-        (tour,) = _rebuild((3,), out[(3,)][1], 3)
+        (tour,) = _rebuild((3,), out[(3,)][1])
         assert tour == (3, ((2, 1),))
         sol = _to_solution(inst, (tour,))
         assert sol.tours == (Tour(((2, 1),)),)
@@ -538,7 +568,7 @@ class TestTableHelpers:
                               for z in _partitions_brute(total, 4)}
         assert all(cost == 0 for cost, _ in table.values())
         # 3 tokens and 2 pads as (1, 4): the size-4 tour holds the 3 tokens
-        assert witnesses(table, 4)[(1, 4)] == (0, [(1, ()), (4, ((4, 3),))])
+        assert witnesses(table)[(1, 4)] == (0, [(1, ()), (4, ((4, 3),))])
 
     def test_empty_profile_shortcut_equals_enumeration(self):
         # folding into the single empty profile passes the child through; a
@@ -561,8 +591,8 @@ class TestTableHelpers:
                 full = merge_child_table(
                     {(): (7, None), guard: (10 ** 6, (0, capacity))},
                     child, capacity)
-                full = witnesses(full, capacity)
-                assert witnesses(short, capacity) == {k: full[k]
+                full = witnesses(full)
+                assert witnesses(short) == {k: full[k]
                                                       for k in child}
                 assert list(short) == list(child)
 
@@ -598,11 +628,10 @@ class TestRebuild:
                         table.setdefault(key, (rng.randint(0, 9), back))
                 for key, (cost, back) in merge_child_table(
                         acc, child, capacity).items():
-                    k_acc, b_acc, k_ch, b_ch = back
+                    k_acc, b_acc, k_ch, b_ch, _ = back
                     assert cost == acc[k_acc][0] + child[k_ch][0]
-                    left = (_rebuild(k_acc, b_acc, capacity) +
-                            _rebuild(k_ch, b_ch, capacity))
-                    tours = _rebuild(key, back, capacity)
+                    left = _rebuild(k_acc, b_acc) + _rebuild(k_ch, b_ch)
+                    tours = _rebuild(key, back)
                     assert tuple(size for size, _ in tours) == key
                     for size, phys in tours:
                         parts = [t for t in left if t[1] in (
@@ -615,8 +644,8 @@ class TestRebuild:
 
     def test_sweep_cost_is_solution_cost(self, monkeypatch):
         # at pad_cap 0 every tour holds a physical token, so the DP pays for
-        # exactly the edges its tours cross: a replay that rebuilt a witness
-        # of another key would show here
+        # exactly the edges its tours cross: a rebuild that joined tours into
+        # a witness of another key would show here
         monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
         from workloads import hub_instances
         family = [random_instance(seed, unit_demand=False, max_tokens=8)
@@ -643,14 +672,14 @@ def entry_of(tours):
     of its own."""
     key, back = (), None
     for v, size in tours:
-        key, back = (tuple(sorted(key + (size,))),
-                     (key, back, (size,), (v, size)))
+        cur = key + (size,)
+        key, back = tuple(sorted(cur)), (key, back, (size,), (v, size), cur)
     return key, back
 
 
-def witnesses(table, capacity):
+def witnesses(table):
     """Each entry's cost and rebuilt tours, as (size, phys) pairs."""
-    return {k: (c, _rebuild(k, b, capacity)) for k, (c, b) in table.items()}
+    return {k: (c, _rebuild(k, b)) for k, (c, b) in table.items()}
 
 
 def _partitions_brute(total, max_part):
