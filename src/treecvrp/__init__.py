@@ -2,7 +2,7 @@
 
 from .baselines import flow_lower_bound, itp_solve
 from .dp import DPParams, solve_bicriteria, solve_structured
-from .exact import solve_exact, solve_exact_naive
+from .exact import solve_exact
 from .generate import generate
 from .height import build_reduced_tree
 from .instance import (Solution, Tour, TreeInstance, load_instance,
@@ -16,6 +16,5 @@ __all__ = [
     "build_reduced_tree", "check_feasible", "flow_lower_bound", "generate",
     "itp_solve", "load_instance", "load_solution", "normalize_demands",
     "ratio_report", "save_instance", "save_solution", "solve_bicriteria",
-    "solve_exact", "solve_exact_naive", "solve_structured", "thresholds",
-    "transform",
+    "solve_exact", "solve_structured", "thresholds", "transform",
 ]

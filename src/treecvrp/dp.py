@@ -54,9 +54,22 @@ need(e) times at least; and a fold never lowers the tour count at a node
 (each child tour keeps a tour of its own, and tours of one subtree stay
 distinct above it), so the edges from v up to t are crossed at least m
 times. A fold cuts a state, or a branch of its enumeration, as soon as
-lb > UB. This bound is not sound for ``solve_bicriteria``: sizes rounded
-down let its tours carry more than Q tokens, so fewer than need(e) tours may
-cross e. That solver runs the same sweep without a bound.
+lb > UB.
+
+``solve_bicriteria`` runs the same cut with need(e) = ceil(D_e/L), where L
+bounds the true tokens of any tour it builds. Let r be the largest
+(sigma_{i+1} - 1)/sigma_i over the grid's steps (1 when the grid is 1..Q),
+h the number of non-depot levels (``height - 1``) and L = floor(Q * r**h).
+A size rounded down to sigma_i stood for at most sigma_{i+1} - 1 <=
+sigma_i * r stored tokens, or for Q if sigma_i = Q. So, by induction up the
+tree, a size stored after k roundings carries at most r**k times as many
+true tokens: the merged child sizes each carried at most r**(k-1) times
+theirs, the node's own tokens are exact, and one rounding multiplies by r
+once more. A tour is rounded at most once per non-depot level and stored
+sizes never exceed Q, so no tour carries more than L true tokens, and at
+least need(e) tours cross e. The path term holds as before, because rounding
+maps a profile to one of the same length and never merges tours. When the
+grid is 1..Q, L = Q and the bound is the structured one.
 
 UB is deepened iteratively (Korf 1985), one depot subtree at a time: the
 depot is not folded, so its subtrees are independent. A subtree's first round
@@ -144,7 +157,8 @@ def _check_budget(table: Table, budget: int, node: int) -> None:
 
 
 class _Bound:
-    """The cut of ``solve_structured``'s deepening rounds (module docstring).
+    """The cut of the deepening rounds (module docstring), for tours of at
+    most ``load_cap`` true tokens.
 
     ``start(t)`` opens the first round on depot subtree t, ``enter(v)``
     resets the bound to node v and ``folded(u)`` moves child u's subtree from
@@ -155,9 +169,9 @@ class _Bound:
     bound exceeded UB in this round, or None if nothing was cut.
     """
 
-    def __init__(self, inst: TreeInstance, pad_cap: int):
+    def __init__(self, inst: TreeInstance, pad_cap: int, load_cap: int):
         self.inst = inst
-        self.need = [-(-d // inst.capacity) for d in inst.subtree_demand]
+        self.need = [-(-d // load_cap) for d in inst.subtree_demand]
         # flow bound of subtree(v), v's own edge included
         self.below = [2 * w * k for w, k in zip(inst.weight, self.need)]
         for v in inst.topo_order[:0:-1]:
@@ -308,10 +322,6 @@ def charge_edge(table: Table, weight: Weight) -> Table:
     if not weight:
         return table
     return {k: (c + 2 * weight * len(k), b) for k, (c, b) in table.items()}
-
-
-def _round_down(size: int, sigma: tuple[int, ...]) -> int:
-    return sigma[bisect.bisect_right(sigma, size) - 1]
 
 
 def _rebuild(key: tuple, back) -> list:
@@ -471,6 +481,29 @@ def default_eps_prime(inst: TreeInstance, eps: float) -> float:
     return min(eps ** 2 / log_n ** 2, eps / max(inst.height, 1))
 
 
+def _load_cap(inst: TreeInstance, sigma: tuple[int, ...]) -> int:
+    """L, the most true tokens a ``solve_bicriteria`` tour on the grid
+    ``sigma`` can carry (module docstring); Q when the grid is 1..Q."""
+    r = max((Fraction(hi - 1, lo) for lo, hi in zip(sigma, sigma[1:])),
+            default=1)
+    return math.floor(inst.capacity * r ** (inst.height - 1))
+
+
+def _rounding_filter(sigma: tuple[int, ...]):
+    """``solve_bicriteria``'s node filter: round each size down to ``sigma``.
+
+    A moved key keeps its unrounded ``(key, back)`` as its back-pointer."""
+    def node_filter(acc: Table) -> Table:
+        out: Table = {}
+        for key, (cost, back) in acc.items():
+            rounded = tuple(sigma[bisect.bisect_right(sigma, size) - 1]
+                            for size in key)
+            if rounded not in out or cost < out[rounded][0]:
+                out[rounded] = (cost, back if rounded == key else (key, back))
+        return out
+    return node_filter
+
+
 def solve_bicriteria(inst: TreeInstance, eps: float,
                      eps_prime: float | None = None,
                      max_states: int = 200_000,
@@ -482,21 +515,20 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
     run of the same or lower stored cost, while a stored size understates the
     true load by at most a (1+eps') factor per tree level. The depot is not
     folded, so its tours are never merged or rounded.
+
+    States that cannot beat the deepening bound at the load cap L of the
+    module docstring are cut. That never changes ``dp_cost``; the witness
+    may be another run of equal cost. If ``stats`` is given,
+    ``stats["states"]`` counts the states kept in the last round of each
+    depot subtree (after each child fold and after the rounding) and
+    ``stats["rounds"]`` counts the subtree sweeps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     ep = eps_prime if eps_prime is not None else default_eps_prime(inst, eps)
     sigma = thresholds(inst.capacity, ep).sigma
-
-    def node_filter(acc: Table) -> Table:
-        out: Table = {}
-        for key, (cost, back) in acc.items():
-            rounded = tuple(_round_down(size, sigma) for size in key)
-            if rounded not in out or cost < out[rounded][0]:
-                out[rounded] = (cost, back if rounded == key else (key, back))
-        return out
-
-    cost, tours = _sweep(inst, node_filter, 0, max_states, stats)
+    cost, tours = _sweep(inst, _rounding_filter(sigma), 0, max_states, stats,
+                         _Bound(inst, 0, _load_cap(inst, sigma)))
     sol = _to_solution(inst, tours)
     max_load = max((t.load for t in sol.tours), default=0)
     grid_exact = sigma == tuple(range(1, inst.capacity + 1))
@@ -539,7 +571,7 @@ def solve_structured(inst: TreeInstance,
         params = DPParams.generous(inst, eps)
     _, tours = _sweep(inst, _structure_filter(params), params.pad_cap,
                       params.max_states, stats,
-                      _Bound(inst, params.pad_cap))
+                      _Bound(inst, params.pad_cap, inst.capacity))
     sol = _to_solution(inst, tours)
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})

@@ -1,12 +1,17 @@
-"""The residual-demand-vector DP, kept as an exact oracle independent of the
-profile DP that ``treecvrp.exact.solve_exact`` runs.
+"""Two exact oracles independent of the profile DP that
+``treecvrp.exact.solve_exact`` runs, and of each other.
 
-A state is the vector of tokens still to pick up at each node; tokens at one
-node are interchangeable, which is what makes ~14 tokens tractable. Each step
-takes one pickup group that includes a token of the first node still holding
-one (the pivot), so every partition into tours is met exactly once.
+``solve_residual`` is a DP over residual demand vectors. A state is the
+vector of tokens still to pick up at each node; tokens at one node are
+interchangeable, which is what makes ~14 tokens tractable. Each step takes
+one pickup group that includes a token of the first node still holding one
+(the pivot), so every partition into tours is met exactly once.
+
+``solve_exact_naive`` enumerates every partition of the individual tokens
+into tours, so it stops at 9 tokens.
 """
 
+from treecvrp.exact import OracleSizeError
 from treecvrp.instance import Solution, Tour, pickup_set_cost
 
 
@@ -93,3 +98,46 @@ def solve_residual(inst):
     sol = Solution.of(inst, tours)
     assert sol.total_cost == cost
     return sol
+
+
+def solve_exact_naive(inst, max_tokens=9):
+    """Brute-force partition enumeration over individual tokens."""
+    total = inst.total_demand
+    if total > max_tokens:
+        raise OracleSizeError(
+            f"{total} tokens exceeds naive-enumerator limit {max_tokens}")
+    tokens: list[int] = []
+    for v in range(inst.n):
+        tokens.extend([v] * inst.demand[v])
+    q = inst.capacity
+    best: list = [None]
+
+    groups: list[list[int]] = []
+    loads: list[int] = []
+
+    def rec(i: int):
+        if i == len(tokens):
+            tours = [Tour.of({v: g.count(v) for v in set(g)}) for g in groups]
+            sol = Solution.of(inst, tours)
+            key = (sol.total_cost, sol.canonical())
+            if best[0] is None or key < best[0][0:2]:
+                best[0] = (sol.total_cost, sol.canonical(), sol)
+            return
+        v = tokens[i]
+        for gi in range(len(groups)):
+            if loads[gi] < q:
+                groups[gi].append(v)
+                loads[gi] += 1
+                rec(i + 1)
+                groups[gi].pop()
+                loads[gi] -= 1
+        groups.append([v])
+        loads.append(1)
+        rec(i + 1)
+        groups.pop()
+        loads.pop()
+
+    rec(0)
+    if best[0] is None:
+        return Solution.of(inst, ())
+    return best[0][2]

@@ -15,7 +15,7 @@ from treecvrp.baselines import flow_lower_bound, itp_solve
 from treecvrp.bench import run_suite
 from treecvrp.dp import (DPParams, _own_tokens, _partitions,
                          merge_child_table, solve_bicriteria, solve_structured)
-from treecvrp.exact import solve_exact, solve_exact_naive
+from treecvrp.exact import solve_exact
 from treecvrp.generate import generate, stress_instance
 from treecvrp.height import build_reduced_tree
 from treecvrp.instance import TreeInstance
@@ -25,7 +25,7 @@ from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
-from oracle import solve_residual
+from oracle import solve_exact_naive, solve_residual
 
 EPS = 0.5
 

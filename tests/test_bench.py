@@ -20,14 +20,15 @@ SMALL = {
 
 
 # The CSV of SMALL, pinned: a change in how references are found must not
-# move a reference or a ratio.
+# move a reference or a ratio. ``states`` counts the states that the
+# bound-pruned DPs of bicriteria and qptas keep.
 SMALL_CSV = """\
 shape,n,Q,demand_model,seed,algorithm,eps,cost,reference,ref_value,ratio,states,wall_ms,error
-random,6,3,unit,0,bicriteria,0.5,30,oracle,30,1,12,,
+random,6,3,unit,0,bicriteria,0.5,30,oracle,30,1,8,,
 random,6,3,unit,0,exact,0.5,30,oracle,30,1,,,
 random,6,3,unit,0,itp,0.5,30,oracle,30,1,,,
 random,6,3,unit,0,qptas,0.5,30,oracle,30,1,8,,
-random,6,3,unit,1,bicriteria,0.5,68,oracle,68,1,21,,
+random,6,3,unit,1,bicriteria,0.5,68,oracle,68,1,9,,
 random,6,3,unit,1,exact,0.5,68,oracle,68,1,,,
 random,6,3,unit,1,itp,0.5,76,oracle,68,19/17,,,
 random,6,3,unit,1,qptas,0.5,68,oracle,68,1,9,,

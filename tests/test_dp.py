@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
     DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound,
-    _own_tokens, _rebuild, _structure_filter, _sweep, _to_solution,
-    charge_edge, default_eps_prime, merge_child_table, solve_bicriteria,
-    solve_structured)
+    _load_cap, _own_tokens, _rebuild, _rounding_filter, _structure_filter,
+    _sweep, _to_solution, charge_edge, default_eps_prime, merge_child_table,
+    solve_bicriteria, solve_structured)
 from treecvrp.generate import stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import TransformParams, profile_complexity, thresholds
@@ -85,6 +85,18 @@ PADDED_FAMILY = {
         (28, 11, 148), (8, 3, 6), (6, 1, 7), (62, 13, 177), (20, 14, 77),
         (8, 10, 98), (16, 7, 28), (28, 16, 481), (48, 27, 156), (4, 2, 16)],
 }
+
+
+def coarse_family():
+    """A path and 9 random instances on which coarse grids overload tours.
+
+    At eps' = 0.5, seed 33's bicriteria cost is below the flow bound at Q.
+    """
+    path = TreeInstance(tuple([-1] + list(range(7))), (0,) + (1,) * 7,
+                        (0, 1, 1, 1, 1, 1, 1, 2), 8)
+    return [path] + [
+        random_instance(seed, capacities=(5, 6, 8), unit_demand=False,
+                        max_tokens=12) for seed in (*range(8), 33)]
 
 
 def with_depot_demand(seed):
@@ -188,13 +200,8 @@ class TestBicriteria:
         # coarse grids round sizes down once per non-depot level, so a load
         # may exceed Q by a (1+eps') factor per level but the cost never
         # exceeds the optimum; at least one run must actually overshoot
-        path = TreeInstance(tuple([-1] + list(range(7))), (0,) + (1,) * 7,
-                            (0, 1, 1, 1, 1, 1, 1, 2), 8)
-        family = [path] + [
-            random_instance(seed, capacities=(5, 6, 8), unit_demand=False,
-                            max_tokens=12) for seed in range(8)]
         overshoots = 0
-        for inst in family:
+        for inst in coarse_family():
             opt = solve_residual(inst).total_cost
             for eps_prime in (0.25, 0.5, 1.0):
                 res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
@@ -203,15 +210,53 @@ class TestBicriteria:
                 assert res.dp_cost <= opt, (inst, eps_prime)
                 overshoots += res.max_load > inst.capacity
         assert overshoots > 0
+        path = coarse_family()[0]
         assert not solve_bicriteria(path, 0.5, eps_prime=1.0).grid_exact
 
+    def test_coarse_grid_pruning_changes_nothing(self):
+        # the bound at load cap L cuts states even where loads overshoot Q,
+        # or where the cost is below the flow bound at Q, which a bound at Q
+        # would cut: the unpruned sweep gets the same cost and loads
+        overshoots = below_flow = 0
+        for inst in coarse_family():
+            for eps_prime in (0.25, 0.5, 1.0):
+                res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
+                sigma = thresholds(inst.capacity, eps_prime).sigma
+                cost, tours = _sweep(inst, _rounding_filter(sigma), 0, 10 ** 6)
+                loads = [t.load for t in _to_solution(inst, tours).tours]
+                assert (res.dp_cost, res.max_load) == (cost, max(loads)), \
+                    (inst, eps_prime)
+                assert res.max_load <= _load_cap(inst, sigma)
+                overshoots += res.max_load > inst.capacity
+                below_flow += res.dp_cost < flow_lower_bound(inst)
+        assert overshoots > 0 and below_flow > 0
+
+    def test_load_cap(self):
+        path = coarse_family()[0]  # Q = 8, 7 levels below the depot
+        assert thresholds(8, 1.0).sigma == (1, 2, 4, 8)
+        # r = max(1/1, 3/2, 7/4) = 7/4; 8 * (7/4)**7 = 823543/2048
+        assert _load_cap(path, (1, 2, 4, 8)) == 402
+        for q in range(1, 21):
+            inst = TreeInstance((-1, 0, 1), (0, 1, 1), (0, 1, 1), q)
+            assert _load_cap(inst, tuple(range(1, q + 1))) == q
+
     def test_state_budget(self):
-        # node 1 folds two unit leaves into profiles (1, 1) and (2,); the
-        # depot holds no frontier, so the inner node is the one that overflows
+        # unpruned, node 1 folds two unit leaves into profiles (1, 1) and
+        # (2,); the depot holds no frontier, so the inner node overflows
         inst = TreeInstance((-1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), 2)
+        with pytest.raises(ResourceLimitError) as info:
+            _sweep(inst, _rounding_filter((1, 2)), 0, 1)
+        assert info.value.node == 1
+
+    def test_pruned_state_budget(self):
+        # node 1 must send its 4 tokens up edge 1 in two tours of at most 3;
+        # (1, 3) and (2, 2) do so at the same cost, so the bound keeps both
+        inst = TreeInstance((-1, 0, 1), (0, 4, 2), (0, 3, 1), 3)
         with pytest.raises(ResourceLimitError) as info:
             solve_bicriteria(inst, 0.5, max_states=1)
         assert info.value.node == 1
+        assert solve_bicriteria(inst, 0.5, max_states=2).dp_cost == \
+            solve_residual(inst).total_cost
 
     def test_dp_cost_is_solution_cost(self):
         for seed in range(20):
@@ -375,7 +420,7 @@ def hub_tree(seed, hubs, capacity=5, leaves=(2, 4), max_tokens=None):
 def sweep_both_ways(inst, params):
     """(cost, canonical solution) or the failing node, pruned and not."""
     out = []
-    for bound in (None, _Bound(inst, params.pad_cap)):
+    for bound in (None, _Bound(inst, params.pad_cap, inst.capacity)):
         try:
             cost, tours = _sweep(inst, _structure_filter(params),
                                  params.pad_cap, params.max_states,
@@ -403,11 +448,12 @@ class TestBoundPruning:
         inst = TreeInstance((-1, 0, 0, 1, 1, 2, 2), (0,) + (1,) * 6,
                             (0, 0, 0, 1, 1, 1, 1), 2)
         with pytest.raises(ResourceLimitError) as info:
-            solve_bicriteria(inst, 0.5, max_states=1)
+            _sweep(inst, _rounding_filter((1, 2)), 0, 1)
         assert info.value.node == 2
         params = DPParams(gamma=9, groups=1, schedule=thresholds(2, 0.5),
                           max_states=1)
         assert solve_structured(inst, 0.5, params).total_cost == \
+            solve_bicriteria(inst, 0.5, max_states=1).dp_cost == \
             solve_residual(inst).total_cost == 12
 
     def test_roadmap_hub_is_not_tight(self):
@@ -511,7 +557,7 @@ class TestTableHelpers:
         inst = TreeInstance((-1, 0, 1, 1), (0, 3, 1, 2), (0, 1, 2, 2), 3)
         acc = merge_child_table({(): (0, None)}, _own_tokens(2, 2, 3, 0), 3)
         child = _own_tokens(3, 2, 3, 0)
-        bound = _Bound(inst, 0)
+        bound = _Bound(inst, 0, inst.capacity)
         bound.start(1)
         bound.enter(1)
         bound.folded(2)
@@ -658,7 +704,7 @@ class TestRebuild:
                 try:
                     cost, tours = _sweep(inst, _structure_filter(params), 0,
                                          params.max_states,
-                                         bound=_Bound(inst, 0))
+                                         bound=_Bound(inst, 0, inst.capacity))
                 except NoStructuredSolutionError:
                     continue
                 assert cost == _to_solution(inst, tours).total_cost, inst

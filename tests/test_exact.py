@@ -4,13 +4,13 @@ import pytest
 
 from treecvrp import exact
 from treecvrp.baselines import flow_lower_bound
-from treecvrp.exact import OracleSizeError, solve_exact, solve_exact_naive
+from treecvrp.exact import OracleSizeError, solve_exact
 from treecvrp.generate import SHAPES, generate
 from treecvrp.instance import TreeInstance
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
-from oracle import solve_residual
+from oracle import solve_exact_naive, solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 PATH = TreeInstance((-1, 0, 1), (0, 1, 2), (0, 1, 1), 2)
