@@ -22,8 +22,7 @@ from .generate import DEMAND_MODELS, SHAPES, generate
 from .height import build_reduced_tree, lift_solution
 from .instance import (InstanceError, load_instance, load_solution,
                        save_instance, save_solution)
-from .structure import (TransformInfeasible, TransformParams, thresholds,
-                        transform)
+from .structure import TransformInfeasible, TransformParams, transform
 from .verify import check_feasible
 
 EXIT_FAILURE = 1
@@ -46,6 +45,11 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
+
+
+def _given(**flags) -> dict:
+    """The flags that were given, as field overrides for a params class."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _write(path: str | None, text: str) -> None:
@@ -105,13 +109,9 @@ def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,
         elif algo == "bicriteria":
             sol = solve_bicriteria(target, eps).solution
         else:
-            params = DPParams.defaults(target, eps, pad_cap=pad_cap)
-            if gamma is not None or groups is not None:
-                params = DPParams(
-                    gamma=gamma if gamma is not None else params.gamma,
-                    groups=groups if groups is not None else params.groups,
-                    schedule=thresholds(target.capacity, eps),
-                    pad_cap=pad_cap)
+            params = dataclasses.replace(
+                DPParams.defaults(target, eps, pad_cap=pad_cap),
+                **_given(gamma=gamma, groups=groups))
             sol = solve_structured(target, eps, params)
     except (OracleSizeError, ResourceLimitError) as exc:
         click.echo(f"resource limit: {exc}", err=True)
@@ -178,11 +178,8 @@ def transform_cmd(instance, solution, eps, seed, gamma, groups, instance_out,
     rep = check_feasible(inst, sol)
     if not rep.ok:
         raise click.UsageError(f"infeasible solution: {rep.violations[0]}")
-    params = TransformParams.defaults(inst.n, eps)
-    if gamma is not None or groups is not None:
-        params = TransformParams(
-            gamma if gamma is not None else params.gamma,
-            groups if groups is not None else params.groups)
+    params = dataclasses.replace(TransformParams.defaults(inst.n, eps),
+                                 **_given(gamma=gamma, groups=groups))
     try:
         inst2, sol2, report = transform(inst, sol, eps, params, seed)
     except TransformInfeasible as exc:

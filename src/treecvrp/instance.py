@@ -118,14 +118,7 @@ class TreeInstance:
         Rebuilt on each access: each cached table reads it once, and keeping
         it would hold n more entries for the life of every instance.
         """
-        order = [0]
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                order.append(c)
-                stack.append(c)
-        return tuple(order)
+        return self.subtree(0)
 
     @cached_property
     def preorder(self) -> tuple[array, array]:

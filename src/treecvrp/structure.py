@@ -6,6 +6,11 @@ bucket, partial tours either number at most gamma (small bucket, kept verbatim)
 or take at most g distinct sizes (big bucket, compressed by the shift map).
 Orphan tokens vacated from each big bucket's largest group are repacked onto
 duplicated randomly sampled tours designated to that level.
+
+A tour's pads share its one token map with its physical pickups, and each pad
+is counted where it is made, so the returned instance's demand is the input
+demand plus every pad added, each pad is a pickup of exactly one returned
+tour, and ``report.pad_tokens`` counts them.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .instance import (Solution, Tour, TreeInstance, Weight, _as_weight,
@@ -174,7 +180,12 @@ class TransformReport:
 def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
               params: TransformParams, seed: int
               ) -> tuple[TreeInstance, Solution, TransformReport]:
-    """Apply the bottom-up grouping/shift/repack procedure to ``sol``."""
+    """Apply the bottom-up grouping/shift/repack procedure to ``sol``.
+
+    The returned instance's demand is the input demand plus every pad token
+    added; each pad is a pickup of exactly one returned tour, and
+    ``report.pad_tokens`` counts them all.
+    """
     if params.gamma < 0:
         raise ValueError(f"need gamma >= 0, got {params.gamma}")
     if params.groups < 1:
@@ -183,9 +194,10 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     schedule = thresholds(inst.capacity, eps)
     report = TransformReport(cost_before=sol.total_cost)
 
-    # Working state: pickups per tour (physical tokens) and pads per tour.
+    # Working state: one token map per tour (physical pickups and pads alike)
+    # and the pads added at each node, counted where they are made.
     picks: list[dict[int, int]] = [t.as_dict() for t in sol.tours]
-    pads: list[dict[int, int]] = [dict() for _ in sol.tours]
+    pad_demand = [0] * inst.n
     orig = coverage(inst, picks)
 
     # Sampling: each tour independently with probability eps; both copies of a
@@ -204,7 +216,7 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
         sampled_by_level[level].append(tid)
 
     # Extra-copy accumulators: copy_items[tid] = list of orphan units assigned
-    # to sampled tour tid; each unit = (pickups dict, pads-at-v count, v).
+    # to sampled tour tid; each unit = (tokens dict, pads-at-v count, v).
     copy_items: dict[int, list[tuple[dict[int, int], int, int]]] = defaultdict(list)
 
     def visit(v: int, here: dict[int, int]) -> None:
@@ -218,86 +230,66 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
             # this bucket in the input solution.
             hosts = [tid for tid in extras if tid in orig[v]
                      and schedule.bucket_of(orig[v][tid]) == view.bucket]
-            _apply_big_bucket(inst, picks, pads, view, here, hosts,
+            _apply_big_bucket(inst, picks, pad_demand, view, here, hosts,
                               copy_items)
 
     coverage(inst, picks, visit)
 
     # Materialize extra copies with the two-bin split of the orphan units.
-    extra_tours, extra_pads = _split_copies(copy_items, inst.capacity)
-
-    # Assemble the transformed instance and solution.
-    pad_demand = [0] * inst.n
-    for pd in pads + extra_pads:
-        for v, c in pd.items():
-            pad_demand[v] += c
-            report.pad_tokens += c
-    all_picks = [_merge_two(p, pd) for p, pd in zip(picks + extra_tours,
-                                                     pads + extra_pads)]
+    extra = _split_copies(copy_items, inst.capacity, pad_demand)
     # Unused extra copies stay in the solution as empty, zero-cost tours.
-    missing = 2 * len(report.sampled_ids) - len(extra_tours)
-    all_picks.extend({} for _ in range(missing))
+    unused = 2 * len(report.sampled_ids) - len(extra)
+    extra.extend({} for _ in range(unused))
 
+    report.pad_tokens = sum(pad_demand)
     inst2 = inst.replace(demand=tuple(d + p for d, p in zip(inst.demand, pad_demand)))
-    sol2 = Solution.of(inst2, (Tour.of(p) for p in all_picks))
+    sol2 = Solution.of(inst2, (Tour.of(p) for p in picks + extra))
     report.cost_after = sol2.total_cost
     return inst2, sol2, report
 
 
-def _merge_two(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for v, c in b.items():
-        out[v] = out.get(v, 0) + c
-    return out
-
-
-def _apply_big_bucket(inst, picks, pads, view, here, hosts, copy_items):
+def _apply_big_bucket(inst, picks, pad_demand, view, here, hosts, copy_items):
     """Shift bottoms one group down, pad to group maxima, orphan the last group.
 
     ``here`` is the coverage at ``view.node``; it ends at the new bottom sizes.
+    Every pad added is counted in ``pad_demand``.
     """
     v = view.node
     sub = set(inst.subtree(v))
     g = len(view.groups)
     maxima = view.group_maxima
 
-    bottoms = {tid: ({u: c for u, c in picks[tid].items() if u in sub},
-                     {u: c for u, c in pads[tid].items() if u in sub})
+    bottoms = {tid: {u: c for u, c in picks[tid].items() if u in sub}
                for tid in view.tour_ids}
 
     # Shift: group j receives the bottoms of group j-1 (position-wise), padded
     # up to h_max_{j-1}; group 1 receives empty bottoms; nulls give empty
     # bottoms with no pads.
-    new_bottoms: dict[int, tuple[dict, dict]] = {}
+    new_bottoms: dict[int, dict[int, int]] = {}
     for j in range(1, g):
         for pos, tid in enumerate(view.groups[j]):
             if tid is None:
                 continue
             src = view.groups[j - 1][pos]
             if src is None:
-                new_bottoms[tid] = ({}, {})
+                new_bottoms[tid] = {}
                 continue
-            phys, pad = bottoms[src]
             want = maxima[j - 1]
             # Capacity safety: h_max_{j-1} <= h_min_j <= old bottom size.
             assert want <= here[tid], "shift map would violate capacity"
-            pad = dict(pad)
+            bottom = new_bottoms[tid] = dict(bottoms[src])
             if want > here[src]:
-                pad[v] = pad.get(v, 0) + (want - here[src])
-            new_bottoms[tid] = (phys, pad)
+                bottom[v] = bottom.get(v, 0) + (want - here[src])
+                pad_demand[v] += want - here[src]
     for tid in view.groups[0]:
         if tid is not None:
-            new_bottoms[tid] = ({}, {})
+            new_bottoms[tid] = {}
 
     # Orphans: the last group's bottoms, each padded to exactly h_max_g, are
     # handed whole to distinct sampled tours whose own partial sits in this
     # bucket. One orphan unit per sampled tour per (v, bucket).
-    orphans = []
-    for tid in view.groups[-1]:
-        if tid is None:
-            continue
-        phys, pad = bottoms[tid]
-        orphans.append((_merge_two(phys, pad), maxima[-1] - here[tid]))
+    orphans = [(bottoms[tid], maxima[-1] - here[tid])
+               for tid in view.groups[-1] if tid is not None]
 
     if len(hosts) < len(orphans):
         raise TransformInfeasible(
@@ -307,54 +299,38 @@ def _apply_big_bucket(inst, picks, pads, view, here, hosts, copy_items):
     for (unit, extra_pad), host in zip(orphans, hosts):
         copy_items[host].append((unit, extra_pad, v))
 
-    for tid, (phys, pad) in new_bottoms.items():
-        for held, new in ((picks[tid], phys), (pads[tid], pad)):
-            for u in [u for u in held if u in sub]:
-                del held[u]
-            held.update(new)
-        size = sum(phys.values()) + sum(pad.values())
-        if size:
-            here[tid] = size
+    for tid, bottom in new_bottoms.items():
+        kept = {u: c for u, c in picks[tid].items() if u not in sub}
+        picks[tid] = kept | bottom
+        if bottom:
+            here[tid] = sum(bottom.values())
         else:
             del here[tid]
 
 
-def _split_copies(copy_items, q):
-    """Two-bin split of each sampled tour's assigned orphan units."""
+def _split_copies(copy_items, q, pad_demand):
+    """Two-bin split of each sampled tour's orphan units: the longest prefix
+    that fits in ``q``, then the rest. Extra pads are counted in ``pad_demand``.
+    """
     tours: list[dict[int, int]] = []
-    tour_pads: list[dict[int, int]] = []
     for host in sorted(copy_items):
         items = copy_items[host]
         sizes = [sum(u.values()) + ep for u, ep, _ in items]
-        total = sum(sizes)
-        bin1: list[int] = []
-        acc = 0
-        for i, s in enumerate(sizes):
-            if acc + s <= q:
-                bin1.append(i)
-                acc += s
-            else:
-                break
-        rest = [i for i in range(len(items)) if i not in bin1]
-        rest_load = sum(sizes[i] for i in rest)
-        if rest_load > q:
-            unit, _, v = items[rest[0]]
+        cut = bisect.bisect_right(list(accumulate(sizes)), q)
+        if sum(sizes[cut:]) > q:
             raise TransformInfeasible(
                 f"two-bin split failed for sampled tour {host}: "
-                f"loads {sizes} exceed two bins of {q}", v, -1)
-        for chosen in (bin1, rest):
-            p: dict[int, int] = {}
-            pd: dict[int, int] = {}
-            for i in chosen:
-                unit, extra_pad, v = items[i]
-                for u, c in unit.items():
-                    p[u] = p.get(u, 0) + c
-                if extra_pad:
-                    pd[v] = pd.get(v, 0) + extra_pad
-            if p or pd:
-                tours.append(p)
-                tour_pads.append(pd)
-    return tours, tour_pads
+                f"loads {sizes} exceed two bins of {q}", items[cut][2], -1)
+        for chosen in (items[:cut], items[cut:]):
+            if not chosen:
+                continue
+            tokens: Counter = Counter()
+            for unit, extra_pad, v in chosen:
+                tokens.update(unit)
+                tokens[v] += extra_pad
+                pad_demand[v] += extra_pad
+            tours.append(tokens)
+    return tours
 
 
 @dataclass

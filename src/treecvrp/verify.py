@@ -24,13 +24,15 @@ class FeasibilityReport:
 def check_feasible(inst: TreeInstance, sol: Solution) -> FeasibilityReport:
     violations: list[str] = []
     q = inst.capacity
+    unknown_node = False
     for i, t in enumerate(sol.tours):
         if t.load > q:
             violations.append(f"tour {i}: load {t.load} exceeds capacity {q}")
         for v, _ in t.pickups:
             if not 0 <= v < inst.n:
+                unknown_node = True
                 violations.append(f"tour {i}: unknown node {v}")
-    if violations and any("unknown node" in v for v in violations):
+    if unknown_node:
         # cost recomputation would index the tree tables with a bogus node
         return FeasibilityReport(False, 0, tuple(violations))
     covered = sol.covered

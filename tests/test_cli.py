@@ -8,7 +8,7 @@ from treecvrp import cli
 from treecvrp.cli import main
 from treecvrp.instance import (TreeInstance, load_instance, load_solution,
                                save_instance, save_solution)
-from treecvrp.structure import thresholds
+from treecvrp.structure import TransformParams, thresholds
 from treecvrp.exact import solve_exact
 from treecvrp.generate import generate
 
@@ -183,6 +183,35 @@ def test_solve_accepts_zero_groups(tmp_path):
     inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
     r = run("solve", str(inst_file), "--algo", "qptas", "--groups", "0")
     assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize("cmd, target", [
+    (["solve", "--algo", "qptas", "--pad-cap", "2"], "solve_structured"),
+    (["transform"], "transform"),
+])
+def test_gamma_alone_keeps_default_groups(tmp_path, monkeypatch, cmd, target):
+    inst = generate("star", 4, 2, "unit", 7)
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text(save_instance(inst))
+    sol_file.write_text(save_solution(solve_exact(inst)))
+    seen = []
+    real = getattr(cli, target)
+
+    def spy(*args, **kw):
+        seen.append(args[2] if target == "solve_structured" else args[3])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, target, spy)
+    files = [str(inst_file)] + ([str(sol_file)] if target == "transform" else [])
+    r = run(cmd[0], *files, *cmd[1:], "--gamma", "5")
+    assert r.exit_code == 0, r.output
+    (params,) = seen
+    default = TransformParams.defaults(inst.n, Fraction(1, 2))
+    assert (params.gamma, params.groups) == (5, default.groups)
+    if target == "solve_structured":
+        assert params.pad_cap == 2
+        assert params.schedule == thresholds(inst.capacity, Fraction(1, 2))
 
 
 def test_solve_resource_exit_code(tmp_path):

@@ -277,6 +277,22 @@ class TestTransform:
         assert sol2.total_cost - sol.total_cost == \
             2 * (rep.sampled_cost - rep.shortcut_savings)
 
+    def test_orphaned_pad_stays_a_pad(self):
+        # node 3's bottom of tour 1 is padded at node 1 and then orphaned at
+        # node 1 itself; the pad used to become a physical pickup of the
+        # extra copy, leaving node 3 covered 8 times against demand 7
+        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 1, 4, 2, 5),
+                            (0, 3, 4, 7, 3), 8)
+        sol = Solution.of(inst, [
+            Tour.of({1: 1, 2: 1, 3: 2, 4: 1}), Tour.of({1: 1, 2: 2, 3: 1, 4: 2}),
+            Tour.of({3: 2}), Tour.of({1: 1}), Tour.of({2: 1, 3: 2})])
+        assert sol.total_cost == 70
+        inst2, sol2, rep = transform(inst, sol, Fraction(2),
+                                     TransformParams(0, 3), seed=0)
+        assert check_feasible(inst2, sol2).ok
+        assert inst2.demand[3] == 8
+        assert rep.pad_tokens == 1 == sum(inst2.demand) - sum(inst.demand)
+
     @pytest.mark.parametrize("groups", [0, -1])
     def test_needs_a_group(self, groups):
         inst = generate("random", 40, 3, "unit", 0)
