@@ -3,43 +3,62 @@
 ``flow_lower_bound`` is the per-edge flow bound: every edge e must be crossed
 by at least ceil(D_e / Q) tours, each paying 2*w(e). ``itp_solve`` is iterated
 tour partitioning: lay the tokens out in DFS order and cut the sequence into
-consecutive capacity-Q blocks.
+consecutive capacity-Q blocks. It needs no tour costing: the tokens of a
+subtree form one contiguous interval of that order, so the blocks that cross
+an edge are exactly the blocks that meet its subtree's interval, and one walk
+both cuts the blocks and counts them per edge.
 """
 
 from __future__ import annotations
 
-import math
-
-from .instance import Solution, Tour, TreeInstance, Weight
+from .instance import Solution, Tour, TreeInstance, Weight, _as_weight
 
 
 def flow_lower_bound(inst: TreeInstance) -> Weight:
+    q = inst.capacity
     total = 0
     for v in range(1, inst.n):
         d_e = inst.subtree_demand[v]
         if d_e:
-            total += 2 * inst.weight[v] * math.ceil(d_e / inst.capacity)
+            total += 2 * inst.weight[v] * -(-d_e // q)
     return total
 
 
-def _dfs_token_order(inst: TreeInstance) -> list[int]:
-    """One entry per token, in DFS order with children visited ascending."""
-    order: list[int] = []
+def itp_solve(inst: TreeInstance) -> Solution:
+    """Cut the DFS token order into capacity-Q blocks, one tour per block.
+
+    One preorder walk, children ascending, that skips subtrees without
+    demand. The tokens of subtree(v) are the D = D_v consecutive positions
+    from t, the number of tokens laid out before v, so the edge above v is
+    crossed by the blocks t//Q .. (t+D-1)//Q, and the cost is
+    2 * sum w(v) * ((t+D-1)//Q - t//Q + 1) over v != 0 with D > 0.
+    """
+    q = inst.capacity
+    demand, weight = inst.demand, inst.weight
+    children, below = inst.children, inst.subtree_demand
+    tours: list[Tour] = []
+    block: dict[int, int] = {}
+    room = q
+    t = 0  # tokens laid out before the current node
+    crossed: Weight = 0  # sum of w(e) * blocks crossing e
     stack = [0]
     while stack:
         v = stack.pop()
-        order.extend([v] * inst.demand[v])
-        stack.extend(reversed(inst.children[v]))
-    return order
-
-
-def itp_solve(inst: TreeInstance) -> Solution:
-    tokens = _dfs_token_order(inst)
-    q = inst.capacity
-    tours = []
-    for i in range(0, len(tokens), q):
-        block: dict[int, int] = {}
-        for v in tokens[i:i + q]:
-            block[v] = block.get(v, 0) + 1
-        tours.append(Tour.of(block))
-    return Solution.of(inst, tours)
+        if v:
+            crossed += weight[v] * ((t + below[v] - 1) // q - t // q + 1)
+        d = demand[v]
+        t += d
+        while d:
+            take = min(d, room)
+            block[v] = take  # v's tokens are contiguous: one entry per block
+            d -= take
+            room -= take
+            if not room:
+                tours.append(Tour(tuple(sorted(block.items()))))
+                block, room = {}, q
+        for c in reversed(children[v]):
+            if below[c]:
+                stack.append(c)
+    if block:
+        tours.append(Tour(tuple(sorted(block.items()))))
+    return Solution(tuple(tours), _as_weight(2 * crossed))

@@ -149,7 +149,7 @@ def _bucket_views(here: dict[int, int], v: int, schedule: ThresholdSchedule,
         view = BucketView(v, b, tour_ids, covs, small)
         if not small:
             m = len(tour_ids)
-            per = math.ceil(m / g)
+            per = -(-m // g)
             padded: list[int | None] = [None] * (per * g - m) + list(tour_ids)
             view.groups = [padded[i * per:(i + 1) * per] for i in range(g)]
         views.append(view)

@@ -1,4 +1,6 @@
-"""Two exact oracles independent of the profile DP that
+"""Reference solvers for the tests.
+
+Two exact oracles are independent of the profile DP that
 ``treecvrp.exact.solve_exact`` runs, and of each other.
 
 ``solve_residual`` is a DP over residual demand vectors. A state is the
@@ -9,6 +11,10 @@ one pickup group that includes a token of the first node still holding one
 
 ``solve_exact_naive`` enumerates every partition of the individual tokens
 into tours, so it stops at 9 tokens.
+
+``itp_reference`` is iterated tour partitioning done the literal way: one
+list entry per token, one dict per block, and every block priced by
+``Solution.of``. ``treecvrp.baselines.itp_solve`` must equal it.
 """
 
 from treecvrp.exact import OracleSizeError
@@ -141,3 +147,21 @@ def solve_exact_naive(inst, max_tokens=9):
     if best[0] is None:
         return Solution.of(inst, ())
     return best[0][2]
+
+
+def itp_reference(inst):
+    """Token list in DFS order (children ascending), cut into Q-blocks."""
+    tokens = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        tokens.extend([v] * inst.demand[v])
+        stack.extend(reversed(inst.children[v]))
+    q = inst.capacity
+    tours = []
+    for i in range(0, len(tokens), q):
+        block = {}
+        for v in tokens[i:i + q]:
+            block[v] = block.get(v, 0) + 1
+        tours.append(Tour.of(block))
+    return Solution.of(inst, tours)
