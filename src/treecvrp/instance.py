@@ -38,7 +38,8 @@ class TreeInstance:
     Validation is O(n): every parent chain is walked once, memoized, and a
     node whose chain never reaches the depot is reported by its smallest id.
     It builds none of the cached tables. ``preorder`` (O(n), built on the
-    first costing) lets ``pickup_set_cost`` price k nodes in O(k log n).
+    first costing) lets ``solution_cost`` price a solution's tours in one
+    loop over one LCA walk, O(P log n) for P pickups.
     """
 
     parent: tuple[int, ...]
@@ -239,39 +240,58 @@ class Solution:
         return tuple(sorted(t.pickups for t in self.tours))
 
 
+def _sets_cost(inst: TreeInstance, node_lists: Iterable[list[int]]) -> Weight:
+    """2x the summed weight of each list's union of root paths.
+
+    With a list sorted by preorder as v_1..v_k, its union weighs
+    ``sum dist_root(v_i) - sum_{i>1} dist_root(lca(v_{i-1}, v_i))`` (the
+    virtual-tree identity). Each LCA takes O(log n) heavy-path jumps over
+    ``inst.preorder``. Each list is sorted in place.
+    """
+    pos, head = inst.preorder
+    parent, dist = inst.parent, inst.dist_root
+    key = pos.__getitem__
+    total = 0
+    for order in node_lists:
+        if len(order) < 2:
+            if order:
+                total += dist[order[0]]
+            continue
+        order.sort(key=key)
+        total += dist[order[0]]
+        for a, b in zip(order, order[1:]):
+            total += dist[b]
+            ha, hb = head[a], head[b]
+            while ha != hb:
+                if pos[ha] > pos[hb]:
+                    a = parent[ha]
+                    ha = head[a]
+                else:
+                    b = parent[hb]
+                    hb = head[b]
+            total -= dist[a if pos[a] < pos[b] else b]
+    return _as_weight(2 * total)
+
+
 def tour_cost(inst: TreeInstance, tour: Tour) -> Weight:
     """2x the weight of the minimal subtree connecting depot and pickup nodes."""
-    return pickup_set_cost(inst, (v for v, _ in tour.pickups))
+    return _sets_cost(inst, ([v for v, _ in tour.pickups],))
 
 
 def pickup_set_cost(inst: TreeInstance, nodes: Iterable[int]) -> Weight:
     """2x the weight of the union of the nodes' root paths, in O(k log n).
 
-    With the k nodes sorted by preorder as v_1..v_k, the union weighs
-    ``sum dist_root(v_i) - sum_{i>1} dist_root(lca(v_{i-1}, v_i))`` (the
-    virtual-tree identity). A repeated node or the depot adds 0. Each LCA
-    takes O(log n) heavy-path jumps over ``inst.preorder``.
+    Priced by the LCA walk that ``solution_cost`` runs over all of a
+    solution's tours in one loop, O(P log n) for P pickups. It walks a copy
+    of ``nodes``, so the caller's order is kept. A repeated node or the
+    depot adds 0.
     """
-    pos, head = inst.preorder
-    parent, dist = inst.parent, inst.dist_root
-    order = sorted(nodes, key=pos.__getitem__)
-    total = dist[order[0]] if order else 0
-    for a, b in zip(order, order[1:]):
-        total += dist[b]
-        ha, hb = head[a], head[b]
-        while ha != hb:
-            if pos[ha] > pos[hb]:
-                a = parent[ha]
-                ha = head[a]
-            else:
-                b = parent[hb]
-                hb = head[b]
-        total -= dist[a if pos[a] < pos[b] else b]
-    return _as_weight(2 * total)
+    return _sets_cost(inst, (list(nodes),))
 
 
 def solution_cost(inst: TreeInstance, tours: Iterable[Tour]) -> Weight:
-    return _as_weight(sum(tour_cost(inst, t) for t in tours))
+    """Sum of the tours' costs, in one LCA walk: O(P log n) for P pickups."""
+    return _sets_cost(inst, ([v for v, _ in t.pickups] for t in tours))
 
 
 def normalize_demands(inst: TreeInstance) -> tuple[TreeInstance, Solution]:

@@ -23,24 +23,28 @@ class FeasibilityReport:
 
 def check_feasible(inst: TreeInstance, sol: Solution) -> FeasibilityReport:
     violations: list[str] = []
-    q = inst.capacity
+    q, n = inst.capacity, inst.n
+    covered = [0] * n
     unknown_node = False
     for i, t in enumerate(sol.tours):
-        if t.load > q:
-            violations.append(f"tour {i}: load {t.load} exceeds capacity {q}")
-        for v, _ in t.pickups:
-            if not 0 <= v < inst.n:
+        first = len(violations)
+        load = 0
+        for v, c in t.pickups:
+            load += c
+            if 0 <= v < n:
+                covered[v] += c
+            else:
                 unknown_node = True
                 violations.append(f"tour {i}: unknown node {v}")
+        if load > q:
+            violations.insert(
+                first, f"tour {i}: load {load} exceeds capacity {q}")
     if unknown_node:
         # cost recomputation would index the tree tables with a bogus node
         return FeasibilityReport(False, 0, tuple(violations))
-    covered = sol.covered
-    for v in range(inst.n):
-        got = covered.get(v, 0)
-        if got != inst.demand[v]:
-            violations.append(
-                f"node {v}: covered {got} tokens, demand is {inst.demand[v]}")
+    for v, (got, want) in enumerate(zip(covered, inst.demand)):
+        if got != want:
+            violations.append(f"node {v}: covered {got} tokens, demand is {want}")
     cost = solution_cost(inst, sol.tours)
     if cost != sol.total_cost:
         violations.append(

@@ -139,6 +139,19 @@ def _closed_walk_cost(inst, nodes):
                for a, b in zip(walk, walk[1:]))
 
 
+def _random_tours(inst, rng):
+    """Tours over random node sets, some empty, some with depot pickups."""
+    tours = []
+    for _ in range(rng.randrange(6)):
+        nodes = [v for v in range(inst.n) if rng.random() < 0.3]
+        tours.append(Tour.of({v: rng.randrange(1, 3) for v in nodes}))
+    return tours
+
+
+def _weight_type(value):
+    return int if Fraction(value).denominator == 1 else Fraction
+
+
 def test_cost_matches_explicit_closed_walk():
     trees = []
     for seed in range(25):
@@ -153,6 +166,9 @@ def test_cost_matches_explicit_closed_walk():
         assert 0 in reduced.weight[1:]
         assert any(reduced.parent[v] > v for v in range(1, reduced.n))
         trees += [base, reduced]
+    # rational weights: thirds, and integers held as Fractions
+    trees += [t.replace(weight=tuple(Fraction(w, k) for w in t.weight))
+              for k in (3, 1) for t in trees[k::4]]
     for i, inst in enumerate(trees):
         rng = random.Random(i)
         for _ in range(4):
@@ -162,7 +178,38 @@ def test_cost_matches_explicit_closed_walk():
             noisy = nodes * 2 + [0, 0]
             rng.shuffle(noisy)
             assert pickup_set_cost(inst, noisy) == _closed_walk_cost(inst, nodes)
+            # a solution costs the sum of its tours' walks, as an int when
+            # that sum is integral
+            tours = _random_tours(inst, rng)
+            want = sum(_closed_walk_cost(inst, [v for v, _ in t.pickups])
+                       for t in tours)
+            got = solution_cost(inst, tours)
+            assert got == want and type(got) is _weight_type(want)
+            for t in tours:
+                cost = tour_cost(inst, t)
+                assert type(cost) is _weight_type(cost)
         assert pickup_set_cost(inst, ()) == pickup_set_cost(inst, [0]) == 0
+        assert solution_cost(inst, []) == 0
+        assert solution_cost(inst, [Tour(()), Tour.of({0: 2})]) == 0
+
+
+def test_fraction_tours_with_an_integral_total_cost_an_int():
+    # each leaf tour costs 2 * 1/4 = 1/2; two of them cost exactly 1
+    inst = TreeInstance((-1, 0, 0), (0, Fraction(1, 4), Fraction(1, 4)),
+                        (0, 1, 1), 1)
+    tours = [Tour.of({1: 1}), Tour.of({2: 1})]
+    assert tour_cost(inst, tours[0]) == Fraction(1, 2)
+    cost = solution_cost(inst, tours)
+    assert cost == 1 and type(cost) is int
+    assert type(Solution.of(inst, tours).total_cost) is int
+
+
+def test_pickup_set_cost_keeps_the_callers_order():
+    inst = generate("random", 50, 3, "unit", 7)
+    nodes = list(range(inst.n - 1, 0, -3)) + [0, 5, 5]
+    before = list(nodes)
+    assert pickup_set_cost(inst, nodes) == _closed_walk_cost(inst, nodes)
+    assert nodes == before
 
 
 def test_cost_on_long_path_in_closed_form():

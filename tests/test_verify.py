@@ -60,6 +60,31 @@ def test_unknown_node_detected():
     assert any("unknown node" in v for v in rep.violations)
 
 
+def test_violations_are_pinned_in_text_and_order():
+    inst = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 2), 2)
+    short = Tour.of({3: 1})  # node 3 gets 1 of its 2 tokens
+    # tour 0 is overloaded and names unknown nodes: per tour the load comes
+    # first; an unknown node stops the check before coverage and cost
+    bad = Solution((Tour.of({1: 1, 2: 1, 9: 1, -1: 1}), short), 0)
+    rep = check_feasible(inst, bad)
+    assert rep.violations == (
+        "tour 0: load 4 exceeds capacity 2",
+        "tour 0: unknown node -1",
+        "tour 0: unknown node 9",
+    )
+    assert (rep.ok, rep.recomputed_cost) == (False, 0)
+    # without the unknown nodes: loads, then coverage by node, then cost
+    bad = Solution((Tour.of({1: 1, 2: 2}), short), 0)
+    rep = check_feasible(inst, bad)
+    assert rep.violations == (
+        "tour 0: load 3 exceeds capacity 2",
+        "node 2: covered 2 tokens, demand is 1",
+        "node 3: covered 1 tokens, demand is 2",
+        "declared cost 0 != recomputed 6",
+    )
+    assert (rep.ok, rep.recomputed_cost) == (False, 6)
+
+
 class TestRatioReport:
     def test_oracle_reference_is_one_for_exact(self):
         sol = solve_exact(STAR)
