@@ -33,33 +33,38 @@ class PathDecomposition:
 
 
 def decompose_paths(inst: TreeInstance) -> PathDecomposition:
-    size = inst.subtree_sizes()
+    """The D-paths are ``inst.preorder``'s heavy paths, read in one pass.
+
+    Each node continues into its child with the largest subtree, the smallest
+    id on ties. In the heavy-first preorder a heavy path is a run of
+    consecutive positions with equal ``head``: a node u with ``head[u] == u``
+    starts one, attached at ``parent[u]`` one level below that node's level
+    (the depot's path is level 1), and each later node of the run extends it.
+    """
+    pos, head = inst.preorder
+    parent = inst.parent
+    order = [0] * inst.n
+    for v, p in enumerate(pos):
+        order[p] = v
     node_level = [0] * inst.n
-    levels: list[list[tuple[int, ...]]] = []
-    # (root-of-pending-subtree, attachment-node-or-None, level)
-    pending = [(0, None, 1)]
-    while pending:
-        top, attach, lvl = pending.pop()
-        # D-path: always descend into the child with the largest subtree,
-        # ties broken by smallest id (children are stored ascending).
-        path = [top]
-        v = top
-        while inst.children[v]:
-            v = max(inst.children[v], key=lambda c: (size[c], -c))
+    levels: list[list[list[int]]] = []
+    for v in order:
+        if head[v] == v:
+            if v:
+                attach = parent[v]
+                lvl = node_level[attach] + 1
+                path = [attach, v]
+            else:
+                lvl, path = 1, [0]
+            if lvl > len(levels):
+                levels.append([])
+            levels[lvl - 1].append(path)
+        else:
             path.append(v)
-        for u in path:
-            node_level[u] = lvl
-        full = tuple(path) if attach is None else (attach,) + tuple(path)
-        while len(levels) < lvl:
-            levels.append([])
-        levels[lvl - 1].append(full)
-        on_path = set(path)
-        for u in path:
-            for c in inst.children[u]:
-                if c not in on_path:
-                    pending.append((c, u, lvl + 1))
+        node_level[v] = lvl
     return PathDecomposition(
-        tuple(tuple(sorted(lv)) for lv in levels), tuple(node_level))
+        tuple(tuple(map(tuple, sorted(lv))) for lv in levels),
+        tuple(node_level))
 
 
 def select_anchors(weights: list[Weight], eps: float) -> list[int]:

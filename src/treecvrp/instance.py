@@ -37,9 +37,11 @@ class TreeInstance:
 
     Validation is O(n): every parent chain is walked once, memoized, and a
     node whose chain never reaches the depot is reported by its smallest id.
-    It builds none of the cached tables. ``preorder`` (O(n), built on the
-    first costing) lets ``solution_cost`` price a solution's tours in one
-    loop over one LCA walk, O(P log n) for P pickups.
+    It builds none of the cached tables. The first table asked for walks the
+    tree once, into ``topo_order`` (an ``array('i')``, 4n bytes), and every
+    per-node table is derived from that one walk. ``preorder`` (O(n), built
+    on the first costing) lets ``solution_cost`` price a solution's tours in
+    one loop over one LCA walk, O(P log n) for P pickups.
     """
 
     parent: tuple[int, ...]
@@ -99,27 +101,30 @@ class TreeInstance:
     @cached_property
     def depth(self) -> tuple[int, ...]:
         """Depth in levels; the depot has depth 1."""
-        d = [0] * self.n
-        d[0] = 1
+        d = [1] * self.n
+        parent = self.parent
         for v in self.topo_order[1:]:
-            d[v] = d[self.parent[v]] + 1
+            d[v] = d[parent[v]] + 1
         return tuple(d)
 
     @cached_property
     def dist_root(self) -> tuple[Weight, ...]:
         d: list[Weight] = [0] * self.n
+        parent, weight = self.parent, self.weight
         for v in self.topo_order[1:]:
-            d[v] = _as_weight(d[self.parent[v]] + self.weight[v])
+            d[v] = _as_weight(d[parent[v]] + weight[v])
         return tuple(d)
 
-    @property
-    def topo_order(self) -> tuple[int, ...]:
+    @cached_property
+    def topo_order(self) -> array:
         """Nodes ordered root-first (every parent before its children).
 
-        Rebuilt on each access: each cached table reads it once, and keeping
-        it would hold n more entries for the life of every instance.
+        The one walk of the tree, ``subtree(0)`` element for element, kept as
+        an ``array('i')`` of 4 bytes per node. ``subtree_sizes``,
+        ``subtree_demand``, ``dist_root`` and ``depth`` read it, and
+        ``preorder`` reads it through ``subtree_sizes``.
         """
-        return self.subtree(0)
+        return array("i", self.subtree(0))
 
     @cached_property
     def preorder(self) -> tuple[array, array]:
@@ -129,14 +134,14 @@ class TreeInstance:
         after the node, so each heavy path is contiguous in preorder and any
         root path crosses O(log n) heavy paths.
         """
-        size = self.subtree_sizes()
+        size, children = self.subtree_sizes(), self.children
         pos, head = array("i", [0]) * self.n, array("i", [0]) * self.n
         stack, t = [0], 0
         while stack:
             u = stack.pop()
             pos[u] = t
             t += 1
-            kids = self.children[u]
+            kids = children[u]
             if kids:
                 heavy = max(kids, key=size.__getitem__)
                 for c in kids:
@@ -163,18 +168,20 @@ class TreeInstance:
         return tuple(out)
 
     def subtree_sizes(self) -> list[int]:
-        """Number of nodes in every node's subtree (not cached)."""
+        """Number of nodes in every node's subtree (not cached; O(n) over
+        ``topo_order``)."""
         size = [1] * self.n
-        for v in reversed(self.topo_order[1:]):
-            size[self.parent[v]] += size[v]
+        parent = self.parent
+        for v in self.topo_order[:0:-1]:
+            size[parent[v]] += size[v]
         return size
 
     @cached_property
     def subtree_demand(self) -> tuple[int, ...]:
         total = list(self.demand)
-        for v in reversed(self.topo_order):
-            if v:
-                total[self.parent[v]] += total[v]
+        parent = self.parent
+        for v in self.topo_order[:0:-1]:
+            total[parent[v]] += total[v]
         return tuple(total)
 
     @property
@@ -416,7 +423,9 @@ def load_solution(text: str) -> Solution:
                         raise InstanceError(
                             f"negative or repeated pickup {item!r} in {ln!r}")
                     pick[v] = c
-                tours.append(Tour.of(pick))  # zero counts are dropped
+                # zero counts are dropped; Tour still validates the rest
+                tours.append(Tour(tuple(sorted(
+                    (v, c) for v, c in pick.items() if c))))
             elif parts[0] == "cost" and len(parts) == 2:
                 if cost is not None:
                     raise InstanceError("duplicate cost line")

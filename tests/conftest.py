@@ -41,3 +41,18 @@ def random_instance(seed, max_n=8, capacities=(2, 3, 4), max_weight=5,
         if sum(demand) == 0:
             demand[rng.randrange(1, n)] = 1
     return TreeInstance(tuple(parent), tuple(weight), tuple(demand), q)
+
+
+def relabeled(inst, ids):
+    """The same tree with node v renamed ``ids[v - 1]``; the depot stays 0.
+
+    With ``ids`` a permutation of 1..n-1, parents can outnumber their
+    children."""
+    new = [0] + list(ids)  # old id -> new id
+    parent, weight, demand = [-1] * inst.n, [0] * inst.n, [0] * inst.n
+    for v in range(1, inst.n):
+        parent[new[v]] = new[inst.parent[v]]
+        weight[new[v]] = inst.weight[v]
+        demand[new[v]] = inst.demand[v]
+    return TreeInstance(tuple(parent), tuple(weight), tuple(demand),
+                        inst.capacity)

@@ -15,9 +15,14 @@ into tours, so it stops at 9 tokens.
 ``itp_reference`` is iterated tour partitioning done the literal way: one
 list entry per token, one dict per block, and every block priced by
 ``Solution.of``. ``treecvrp.baselines.itp_solve`` must equal it.
+
+``decompose_reference`` builds the D-path decomposition by descent: from
+each path's top it steps into the child with the largest subtree until a
+leaf. ``treecvrp.height.decompose_paths`` must equal it.
 """
 
 from treecvrp.exact import OracleSizeError
+from treecvrp.height import PathDecomposition
 from treecvrp.instance import Solution, Tour, pickup_set_cost
 
 
@@ -165,3 +170,32 @@ def itp_reference(inst):
             block[v] = block.get(v, 0) + 1
         tours.append(Tour.of(block))
     return Solution.of(inst, tours)
+
+
+def decompose_reference(inst):
+    """D-paths by descent into the largest child subtree, smallest id on ties."""
+    size = inst.subtree_sizes()
+    node_level = [0] * inst.n
+    levels = []
+    # (root-of-pending-subtree, attachment-node-or-None, level)
+    pending = [(0, None, 1)]
+    while pending:
+        top, attach, lvl = pending.pop()
+        path = [top]
+        v = top
+        while inst.children[v]:
+            v = max(inst.children[v], key=lambda c: (size[c], -c))
+            path.append(v)
+        for u in path:
+            node_level[u] = lvl
+        full = tuple(path) if attach is None else (attach,) + tuple(path)
+        while len(levels) < lvl:
+            levels.append([])
+        levels[lvl - 1].append(full)
+        on_path = set(path)
+        for u in path:
+            for c in inst.children[u]:
+                if c not in on_path:
+                    pending.append((c, u, lvl + 1))
+    return PathDecomposition(
+        tuple(tuple(sorted(lv)) for lv in levels), tuple(node_level))

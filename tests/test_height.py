@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from treecvrp import height
 from treecvrp.exact import solve_exact
 from treecvrp.generate import generate
 from treecvrp.height import (
@@ -11,7 +14,8 @@ from treecvrp.height import (
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.verify import check_feasible
 
-from conftest import random_instance
+from conftest import random_instance, relabeled
+from oracle import decompose_reference
 
 
 def long_path(n, q=3):
@@ -52,6 +56,70 @@ class TestDecomposition:
             inst = generate("random", n, 3, "unit", seed=n)
             d = decompose_paths(inst)
             assert d.num_levels <= math.floor(math.log2(n)) + 1
+
+
+REDUCE_EPS = (Fraction(1, 4), Fraction(1, 2), 1)
+
+
+def _assert_matches_reference(inst):
+    """decompose_paths and build_reduced_tree equal the descent reference,
+    on the tree and on each of its height-reduced trees."""
+    for tree in [inst] + [build_reduced_tree(inst, eps).tree
+                          for eps in REDUCE_EPS]:
+        got, ref = decompose_paths(tree), decompose_reference(tree)
+        assert got.levels == ref.levels
+        assert got.node_level == ref.node_level
+        built = [build_reduced_tree(tree, eps) for eps in REDUCE_EPS]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(height, "decompose_paths", decompose_reference)
+            want = [build_reduced_tree(tree, eps) for eps in REDUCE_EPS]
+        assert [(rt.tree, rt.zeroed_edges) for rt in built] == \
+            [(rt.tree, rt.zeroed_edges) for rt in want]
+
+
+@st.composite
+def shuffled_trees(draw):
+    """Random trees, deep or bushy, with node ids 1..n-1 shuffled so that a
+    parent can outnumber its children."""
+    n = draw(st.integers(1, 60))
+    deep = draw(st.booleans())
+    parent = [-1] + [v - 1 - draw(st.integers(0, min(2, v - 1))) if deep
+                     else draw(st.integers(0, v - 1)) for v in range(1, n)]
+    weight = [0] + [draw(st.integers(0, 4)) for _ in range(1, n)]
+    inst = TreeInstance(tuple(parent), tuple(weight), (0,) * n, 3)
+    return relabeled(inst, draw(st.permutations(range(1, n))))
+
+
+class TestDecompositionReference:
+    """decompose_paths reads preorder's heavy paths; the descent is the
+    reference."""
+
+    @given(shuffled_trees())
+    def test_shuffled_trees(self, inst):
+        _assert_matches_reference(inst)
+
+    @pytest.mark.parametrize("shape", ["star", "binary", "parallel-paths"])
+    def test_tied_sizes(self, shape):
+        for n in (2, 3, 7, 15, 31, 64):
+            inst = generate(shape, n, 3, "unit", seed=n)
+            _assert_matches_reference(inst)
+            ids = list(range(1, n))
+            random.Random(n).shuffle(ids)
+            _assert_matches_reference(relabeled(inst, ids))
+
+    def test_perfect_binary_tree_reversed_ids(self):
+        parent = tuple([-1] + [(v - 1) // 2 for v in range(1, 31)])
+        inst = TreeInstance(parent, (0,) + (1,) * 30, (0,) * 31, 2)
+        _assert_matches_reference(relabeled(inst, range(30, 0, -1)))
+
+    def test_single_node(self):
+        inst = TreeInstance((-1,), (0,), (0,), 1)
+        assert decompose_paths(inst).levels == (((0,),),)
+        _assert_matches_reference(inst)
+
+    def test_substrate_shapes(self):
+        for shape in ("random", "path", "binary"):
+            _assert_matches_reference(generate(shape, 400, 10, "unit", 7))
 
 
 class TestAnchors:

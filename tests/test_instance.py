@@ -11,7 +11,7 @@ from treecvrp.instance import (
     normalize_demands, pickup_set_cost, save_instance, save_solution,
     solution_cost, tour_cost)
 
-from conftest import edge_count_cost, random_instance
+from conftest import edge_count_cost, random_instance, relabeled
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -49,6 +49,37 @@ def test_validation_builds_no_tree_tables():
     assert again.demand == (0, 0, 2, 1) and again.parent == inst.parent
     for t in (inst, again):
         assert vars(t).keys() == {"parent", "weight", "demand", "capacity"}
+
+
+TABLE_READS = (
+    lambda t: t.children, lambda t: t.topo_order, lambda t: t.subtree_sizes(),
+    lambda t: t.subtree_demand, lambda t: t.dist_root, lambda t: t.depth,
+    lambda t: t.preorder)
+
+
+@pytest.mark.parametrize("reads", [TABLE_READS, TABLE_READS[::-1]],
+                         ids=["forward", "backward"])
+def test_one_walk_per_instance(reads, monkeypatch):
+    walks = []
+    subtree = TreeInstance.subtree
+
+    def counted(self, v):
+        walks.append(v)
+        return subtree(self, v)
+
+    monkeypatch.setattr(TreeInstance, "subtree", counted)
+    inst = generate("random", 300, 4, "uniform", seed=2)
+    for read in reads + reads:
+        read(inst)
+    assert walks == [0]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_topo_order_is_the_depot_subtree(shape):
+    inst = generate(shape, 200, 4, "unit", seed=5)
+    assert list(inst.topo_order) == list(inst.subtree(0))
+    shuffled = _relabeled(inst, random.Random(5))
+    assert list(shuffled.topo_order) == list(shuffled.subtree(0))
 
 
 def test_depth_and_children():
@@ -106,14 +137,7 @@ def _relabeled(inst, rng):
     their children."""
     ids = list(range(1, inst.n))
     rng.shuffle(ids)
-    new = [0] + ids  # old id -> new id
-    parent, weight, demand = [-1] * inst.n, [0] * inst.n, [0] * inst.n
-    for v in range(1, inst.n):
-        parent[new[v]] = new[inst.parent[v]]
-        weight[new[v]] = inst.weight[v]
-        demand[new[v]] = inst.demand[v]
-    return TreeInstance(tuple(parent), tuple(weight), tuple(demand),
-                        inst.capacity)
+    return relabeled(inst, ids)
 
 
 def _closed_walk_cost(inst, nodes):
@@ -322,6 +346,16 @@ def test_solution_round_trip():
 def test_load_solution_rejects_bad_pickups(line):
     with pytest.raises(InstanceError):
         load_solution(f"{line}\ncost 2\n")
+
+
+def test_load_solution_drops_zero_counts_and_keeps_error_text():
+    sol = load_solution("tour 3:0 2:1 1:2\ncost 4\n")
+    assert sol.tours == (Tour(((1, 2), (2, 1))),)
+    # a repeated node is rejected even at count 0
+    for line in ("tour 1:0 1:0", "tour 2:1 2:0", "tour 1:-1"):
+        with pytest.raises(InstanceError, match=(
+                f"^negative or repeated pickup '.*' in {line!r}$")):
+            load_solution(f"{line}\ncost 2\n")
 
 
 def test_load_solution_rejects_second_cost_line():
