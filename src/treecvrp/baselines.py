@@ -14,13 +14,18 @@ from __future__ import annotations
 from .instance import Solution, Tour, TreeInstance, Weight, _as_weight
 
 
+def flow_need(inst: TreeInstance, cap: int) -> list[int]:
+    """ceil(D_e / cap) for the edge e above each node: the fewest tours of at
+    most ``cap`` tokens that serve the subtree below e (exact integers)."""
+    return [-(-d // cap) for d in inst.subtree_demand]
+
+
 def flow_lower_bound(inst: TreeInstance) -> Weight:
-    q = inst.capacity
+    need = flow_need(inst, inst.capacity)
     total = 0
     for v in range(1, inst.n):
-        d_e = inst.subtree_demand[v]
-        if d_e:
-            total += 2 * inst.weight[v] * -(-d_e // q)
+        if need[v]:
+            total += 2 * inst.weight[v] * need[v]
     return total
 
 

@@ -24,7 +24,7 @@ from .baselines import flow_lower_bound, itp_solve
 from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
 from .exact import OracleSizeError, solve_exact
-from .generate import generate
+from .generate import check_args, generate
 from .verify import _ratio_against
 
 CSV_VERSION = 1
@@ -58,6 +58,8 @@ def _attempt(fn, *args):
 
 
 def load_config(text: str) -> dict:
+    """Parse and check a suite config; every error is a ``ValueError`` (or a
+    ``json.JSONDecodeError``) raised before anything is solved."""
     config = json.loads(text)
     for key in ("instances", "algorithms"):
         if key not in config:
@@ -65,18 +67,34 @@ def load_config(text: str) -> dict:
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
+    for spec in config["instances"]:
+        try:
+            check_args(spec["shape"], int(spec["n"]), int(spec["Q"]),
+                       spec.get("demand_model", "unit"))
+            [int(seed) for seed in spec.get("seeds", [0])]
+        except KeyError as exc:
+            raise ValueError(f"instance spec {spec!r} missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad instance spec {spec!r}: {exc}") from None
     _suite_eps(config)
     return config
+
+
+def positive_fraction(value) -> Fraction | None:
+    """``value`` as an exact ``Fraction`` if it spells a positive number
+    (``0.1`` is 1/10), else None."""
+    try:
+        value = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if value > 0 else None
 
 
 def _suite_eps(config: dict) -> Fraction:
     """The suite's ``eps`` (default 0.5) as an exact positive ``Fraction``."""
     eps = config.get("eps", 0.5)
-    try:
-        value = Fraction(str(eps))
-    except (ValueError, ZeroDivisionError):
-        value = 0
-    if value <= 0:
+    value = positive_fraction(eps)
+    if value is None:
         raise ValueError(f"eps must be a positive number, got {eps!r}")
     return value
 

@@ -29,14 +29,16 @@ EXIT_FAILURE = 1
 EXIT_RESOURCE = 3
 
 
-def _positive(ctx, param, value: Fraction) -> Fraction:
-    if value <= 0:
+def _positive(ctx, param, value: str) -> Fraction:
+    parsed = bench_mod.positive_fraction(value)
+    if parsed is None:
         raise click.BadParameter(f"must be positive, got {value}")
-    return value
+    return parsed
 
 
-# Parsed to an exact Fraction, so that "0.1" is 1/10 and not the nearest float.
-eps_option = click.option("--eps", type=Fraction, default="0.5",
+# Parsed to an exact Fraction, so that "0.1" is 1/10 and not the nearest float,
+# by the rule that reads a bench suite's eps.
+eps_option = click.option("--eps", default="0.5", metavar="FRACTION",
                           callback=_positive)
 
 

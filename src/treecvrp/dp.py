@@ -92,6 +92,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .baselines import flow_need
 from .instance import Solution, Tour, TreeInstance, Weight
 from .structure import ThresholdSchedule, TransformParams, thresholds
 
@@ -171,7 +172,7 @@ class _Bound:
 
     def __init__(self, inst: TreeInstance, pad_cap: int, load_cap: int):
         self.inst = inst
-        self.need = [-(-d // load_cap) for d in inst.subtree_demand]
+        self.need = flow_need(inst, load_cap)
         # flow bound of subtree(v), v's own edge included
         self.below = [2 * w * k for w, k in zip(inst.weight, self.need)]
         for v in inst.topo_order[:0:-1]:

@@ -16,8 +16,8 @@ DEMAND_MODELS = ("unit", "uniform", "heavy")
 MAX_PARALLEL_PATHS = 12
 
 
-def generate(shape: str, n: int, capacity: int, demand_model: str = "unit",
-             seed: int = 0, max_weight: int = 9) -> TreeInstance:
+def check_args(shape: str, n: int, capacity: int, demand_model: str) -> None:
+    """Raise ``ValueError`` unless ``generate`` accepts these arguments."""
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}; choose from {SHAPES}")
     if demand_model not in DEMAND_MODELS:
@@ -25,6 +25,11 @@ def generate(shape: str, n: int, capacity: int, demand_model: str = "unit",
             f"unknown demand model {demand_model!r}; choose from {DEMAND_MODELS}")
     if n < 2 or capacity < 1:
         raise ValueError("need n >= 2 and Q >= 1")
+
+
+def generate(shape: str, n: int, capacity: int, demand_model: str = "unit",
+             seed: int = 0, max_weight: int = 9) -> TreeInstance:
+    check_args(shape, n, capacity, demand_model)
     rng = random.Random((shape, n, capacity, demand_model, seed).__repr__())
     parent = _shape_parents(shape, n, rng)
     if shape == "star":

@@ -90,25 +90,6 @@ class TransformParams:
         return cls(gamma, g)
 
 
-@dataclass
-class BucketView:
-    node: int
-    bucket: int
-    tour_ids: list[int]  # ascending by (coverage, id)
-    coverages: list[int]
-    small: bool
-    groups: list[list[int | None]] = field(default_factory=list)  # None = padding slot
-
-    @property
-    def group_maxima(self) -> list[int]:
-        cov = dict(zip(self.tour_ids, self.coverages))
-        out = []
-        for grp in self.groups:
-            real = [cov[t] for t in grp if t is not None]
-            out.append(max(real) if real else 0)
-        return out
-
-
 def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],
              visit: Callable[[int, dict[int, int]], None] | None = None
              ) -> list[dict[int, int]]:
@@ -135,25 +116,27 @@ def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],
     return cov
 
 
-def _bucket_views(here: dict[int, int], v: int, schedule: ThresholdSchedule,
-                  gamma: int, g: int) -> list[BucketView]:
+def _big_buckets(here: dict[int, int], schedule: ThresholdSchedule,
+                 gamma: int, g: int) -> list[tuple[int, list[list[int | None]]]]:
+    """``(bucket, groups)`` for each bucket at a node that holds more than
+    ``gamma`` tours, ascending by bucket.
+
+    The bucket's tours, ascending by (coverage, id) and led by null padding
+    (``None``) up to a multiple of g, are cut into g equal groups.
+    """
     per_bucket: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for tid, cov in here.items():
         per_bucket[schedule.bucket_of(cov)].append((cov, tid))
-    views = []
+    out = []
     for b in sorted(per_bucket):
         entries = sorted(per_bucket[b])
-        tour_ids = [tid for _, tid in entries]
-        covs = [c for c, _ in entries]
-        small = len(entries) <= gamma
-        view = BucketView(v, b, tour_ids, covs, small)
-        if not small:
-            m = len(tour_ids)
-            per = -(-m // g)
-            padded: list[int | None] = [None] * (per * g - m) + list(tour_ids)
-            view.groups = [padded[i * per:(i + 1) * per] for i in range(g)]
-        views.append(view)
-    return views
+        m = len(entries)
+        if m <= gamma:
+            continue
+        per = -(-m // g)
+        padded = [None] * (per * g - m) + [tid for _, tid in entries]
+        out.append((b, [padded[i * per:(i + 1) * per] for i in range(g)]))
+    return out
 
 
 @dataclass
@@ -198,19 +181,19 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     # and the pads added at each node, counted where they are made.
     picks: list[dict[int, int]] = [t.as_dict() for t in sol.tours]
     pad_demand = [0] * inst.n
-    orig = coverage(inst, picks)
 
     # Sampling: each tour independently with probability eps; both copies of a
-    # sampled tour are designated to one uniformly random visited level.
-    visited: list[set[int]] = [set() for _ in picks]
-    for v in range(1, inst.n):
-        for tid in orig[v]:
-            visited[tid].add(inst.depth[v])
+    # sampled tour are designated to one uniformly random level its root paths
+    # visit, which are exactly the depths 2..(its deepest pickup).
+    depth = inst.depth
     sampled_by_level: dict[int, list[int]] = defaultdict(list)
     for tid, t in enumerate(sol.tours):
-        if not t.pickups or rng.random() >= eps or not visited[tid]:
+        if not t.pickups or rng.random() >= eps:
             continue
-        level = rng.choice(sorted(visited[tid]))
+        deepest = max(depth[u] for u, _ in t.pickups)
+        if deepest < 2:
+            continue
+        level = rng.choice(range(2, deepest + 1))
         report.sampled_ids.append(tid)
         report.sampled_cost += tour_cost(inst, t)
         sampled_by_level[level].append(tid)
@@ -220,18 +203,27 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     copy_items: dict[int, list[tuple[dict[int, int], int, int]]] = defaultdict(list)
 
     def visit(v: int, here: dict[int, int]) -> None:
-        extras = sampled_by_level.get(inst.depth[v], [])
-        for view in _bucket_views(here, v, schedule, params.gamma,
-                                  params.groups):
-            if view.small:
-                continue
+        big = _big_buckets(here, schedule, params.gamma, params.groups)
+        if not big:
+            return
+        sub = set(inst.subtree(v))
+        # The input partials at v of the sampled tours of this level.
+        extras = {tid: sum(c for u, c in sol.tours[tid].pickups if u in sub)
+                  for tid in sampled_by_level.get(depth[v], ())}
+        for bucket, groups in big:
             report.big_buckets += 1
+            orphans = _shift_bucket(picks, pad_demand, v, sub, groups, here)
             # Hosts: sampled tours of this level whose own partial at v sat in
             # this bucket in the input solution.
-            hosts = [tid for tid in extras if tid in orig[v]
-                     and schedule.bucket_of(orig[v][tid]) == view.bucket]
-            _apply_big_bucket(inst, picks, pad_demand, view, here, hosts,
-                              copy_items)
+            hosts = [tid for tid, c in extras.items()
+                     if c and schedule.bucket_of(c) == bucket]
+            if len(hosts) < len(orphans):
+                raise TransformInfeasible(
+                    f"level {depth[v]}: only {len(hosts)} sampled hosts for "
+                    f"{len(orphans)} orphan units at node {v} bucket {bucket}",
+                    v, bucket)
+            for (unit, extra_pad), host in zip(orphans, hosts):
+                copy_items[host].append((unit, extra_pad, v))
 
     coverage(inst, picks, visit)
 
@@ -248,29 +240,30 @@ def transform(inst: TreeInstance, sol: Solution, eps: Fraction | float,
     return inst2, sol2, report
 
 
-def _apply_big_bucket(inst, picks, pad_demand, view, here, hosts, copy_items):
+def _shift_bucket(picks, pad_demand, v, sub, groups, here):
     """Shift bottoms one group down, pad to group maxima, orphan the last group.
 
-    ``here`` is the coverage at ``view.node``; it ends at the new bottom sizes.
-    Every pad added is counted in ``pad_demand``.
+    ``here`` is the coverage at node v, whose subtree's nodes are ``sub``; it
+    ends at the new bottom sizes. Every pad added is counted in ``pad_demand``.
+    Returns the orphan units, one ``(bottom, extra pads at v)`` per tour of
+    the last group, for the caller to hand to distinct sampled tours.
     """
-    v = view.node
-    sub = set(inst.subtree(v))
-    g = len(view.groups)
-    maxima = view.group_maxima
+    g = len(groups)
+    maxima = [max((here[t] for t in grp if t is not None), default=0)
+              for grp in groups]
 
     bottoms = {tid: {u: c for u, c in picks[tid].items() if u in sub}
-               for tid in view.tour_ids}
+               for grp in groups for tid in grp if tid is not None}
 
     # Shift: group j receives the bottoms of group j-1 (position-wise), padded
     # up to h_max_{j-1}; group 1 receives empty bottoms; nulls give empty
     # bottoms with no pads.
     new_bottoms: dict[int, dict[int, int]] = {}
     for j in range(1, g):
-        for pos, tid in enumerate(view.groups[j]):
+        for pos, tid in enumerate(groups[j]):
             if tid is None:
                 continue
-            src = view.groups[j - 1][pos]
+            src = groups[j - 1][pos]
             if src is None:
                 new_bottoms[tid] = {}
                 continue
@@ -281,23 +274,14 @@ def _apply_big_bucket(inst, picks, pad_demand, view, here, hosts, copy_items):
             if want > here[src]:
                 bottom[v] = bottom.get(v, 0) + (want - here[src])
                 pad_demand[v] += want - here[src]
-    for tid in view.groups[0]:
+    for tid in groups[0]:
         if tid is not None:
             new_bottoms[tid] = {}
 
-    # Orphans: the last group's bottoms, each padded to exactly h_max_g, are
-    # handed whole to distinct sampled tours whose own partial sits in this
-    # bucket. One orphan unit per sampled tour per (v, bucket).
+    # Orphans: the last group's bottoms, each padded to exactly h_max_g; one
+    # unit per sampled host per (v, bucket).
     orphans = [(bottoms[tid], maxima[-1] - here[tid])
-               for tid in view.groups[-1] if tid is not None]
-
-    if len(hosts) < len(orphans):
-        raise TransformInfeasible(
-            f"level {inst.depth[v]}: only {len(hosts)} sampled hosts for "
-            f"{len(orphans)} orphan units at node {v} bucket {view.bucket}",
-            v, view.bucket)
-    for (unit, extra_pad), host in zip(orphans, hosts):
-        copy_items[host].append((unit, extra_pad, v))
+               for tid in groups[-1] if tid is not None]
 
     for tid, bottom in new_bottoms.items():
         kept = {u: c for u, c in picks[tid].items() if u not in sub}
@@ -306,6 +290,7 @@ def _apply_big_bucket(inst, picks, pad_demand, view, here, hosts, copy_items):
             here[tid] = sum(bottom.values())
         else:
             del here[tid]
+    return orphans
 
 
 def _split_copies(copy_items, q, pad_demand):

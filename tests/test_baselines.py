@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from treecvrp.baselines import flow_lower_bound, itp_solve
+from treecvrp.baselines import flow_lower_bound, flow_need, itp_solve
 from treecvrp.generate import DEMAND_MODELS, SHAPES, generate
 from treecvrp.height import build_reduced_tree
 from treecvrp.instance import TreeInstance, save_solution
@@ -34,6 +34,15 @@ def test_flow_lower_bound_is_exact_past_float_precision():
     # float division rounds (2**53 + 1) / 1 down to 2**53
     inst = TreeInstance((-1, 0), (0, 1), (0, 2 ** 53 + 1), 1)
     assert flow_lower_bound(inst) == 18014398509481986
+
+
+def test_flow_need_is_the_exact_ceiling():
+    inst = TreeInstance((-1, 0, 1, 0), (0, 1, 1, 1), (0, 2 ** 53 + 1, 2, 4), 2)
+    # subtree demands 2**53 + 7, 2**53 + 3, 2 and 4; a float quotient would
+    # read the first two as 2**53 + 8 and 2**53 + 4
+    assert flow_need(inst, 1) == [2 ** 53 + 7, 2 ** 53 + 3, 2, 4]
+    assert flow_need(inst, 2) == [2 ** 52 + 4, 2 ** 52 + 2, 1, 2]
+    assert flow_lower_bound(inst) == 2 * sum(flow_need(inst, 2)[1:])
 
 
 def test_itp_single_tour_when_total_fits():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -159,7 +160,27 @@ def test_load_config_validates():
         load_config('{"instances": [], "algorithms": ["simplex"]}')
 
 
-@pytest.mark.parametrize("eps", [0, -1, "x"])
+@pytest.mark.parametrize("spec, text", [
+    ({"shape": "star", "Q": 2}, "missing 'n'"),
+    ({"n": 4, "Q": 2}, "missing 'shape'"),
+    ({"shape": "blob", "n": 4, "Q": 2}, "unknown shape 'blob'"),
+    ({"shape": "star", "n": 4, "Q": 0}, "need n >= 2 and Q >= 1"),
+    ({"shape": "star", "n": 1, "Q": 2}, "need n >= 2 and Q >= 1"),
+    ({"shape": "star", "n": 4, "Q": 2, "demand_model": "flat"},
+     "unknown demand model 'flat'"),
+    ({"shape": "star", "n": "four", "Q": 2}, "invalid literal"),
+    ({"shape": "star", "n": None, "Q": 2}, "bad instance spec"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": ["x"]}, "invalid literal"),
+    (["star", 4, 2], "bad instance spec"),
+])
+def test_load_config_rejects_bad_instance_specs(spec, text):
+    # a good spec first: every spec is checked, not just the first
+    config = dict(SMALL, instances=[SMALL["instances"][1], spec])
+    with pytest.raises(ValueError, match=re.escape(text)):
+        load_config(json.dumps(config))
+
+
+@pytest.mark.parametrize("eps", [0, -1, "x", "1/0"])
 def test_run_suite_rejects_bad_eps_before_solving(oracle_calls, eps):
     config = dict(SMALL, eps=eps)
     with pytest.raises(ValueError, match="eps must be a positive number"):

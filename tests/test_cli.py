@@ -277,7 +277,7 @@ def test_eps_is_parsed_exactly(tmp_path, monkeypatch, cmd, target):
     assert 187 in thresholds(200, eps).sigma
 
 
-@pytest.mark.parametrize("eps", ["0", "-1", "-1/2"])
+@pytest.mark.parametrize("eps", ["0", "-1", "-1/2", "1/0"])
 @pytest.mark.parametrize("cmd", [["reduce"], ["solve", "--algo", "qptas"],
                                  ["transform"]])
 def test_nonpositive_eps_is_usage_error(tmp_path, cmd, eps):
@@ -320,7 +320,7 @@ def test_usage_error_on_repeated_cost_line(tmp_path):
         assert "duplicate cost line" in r.output
 
 
-@pytest.mark.parametrize("eps", [0, -1, "x"])
+@pytest.mark.parametrize("eps", [0, -1, "x", "1/0"])
 def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({
@@ -329,6 +329,20 @@ def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     r = run("bench", str(config))
     assert r.exit_code == 2, r.output
     assert "eps must be a positive number" in r.output
+
+
+@pytest.mark.parametrize("spec, text", [
+    ({"shape": "star", "Q": 2}, "missing 'n'"),
+    ({"shape": "blob", "n": 4, "Q": 2}, "unknown shape 'blob'"),
+    ({"shape": "star", "n": 4, "Q": 0}, "need n >= 2 and Q >= 1"),
+])
+def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"instances": [spec],
+                                  "algorithms": ["itp"]}))
+    r = run("bench", str(config))
+    assert r.exit_code == 2, r.output
+    assert text in r.output
 
 
 def test_negative_pad_cap_is_usage_error(tmp_path):

@@ -99,6 +99,21 @@ def test_tour_basics():
         Tour(((1, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("pickups, text", [
+    (((1, 1), (2, 0)), "non-positive pickup 0 at node 2"),
+    (((2, -1),), "non-positive pickup -1 at node 2"),
+    (((1, 1), (1, 2)), "duplicate pickup entry for node 1"),
+    # the first offender in order is named; a count is checked before a repeat
+    (((3, 0), (3, 1)), "non-positive pickup 0 at node 3"),
+    (((1, 1), (1, 0)), "non-positive pickup 0 at node 1"),
+    (((2, 1), (1, 1), (2, 1), (3, 0)), "duplicate pickup entry for node 2"),
+])
+def test_tour_names_its_first_bad_pickup(pickups, text):
+    with pytest.raises(ValueError) as exc:
+        Tour(pickups)
+    assert str(exc.value) == text
+
+
 def test_tour_cost_on_star():
     assert tour_cost(STAR, Tour.of({1: 1, 2: 1})) == 4
     assert tour_cost(STAR, Tour.of({1: 2})) == 2

@@ -9,7 +9,7 @@ from treecvrp.exact import solve_exact
 from treecvrp.generate import generate, stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import (
-    TransformInfeasible, TransformParams, _bucket_views, coverage,
+    TransformInfeasible, TransformParams, _big_buckets, _shift_bucket, coverage,
     profile_complexity, thresholds, transform)
 from treecvrp.verify import check_feasible
 
@@ -23,12 +23,11 @@ def hub_instance(leaves=12, q=3):
     return TreeInstance(parent, weight, demand, q)
 
 
-def views_at(inst, sol, v, gamma=None, groups=1):
-    """The bucket views at v under thresholds(Q, 1/2); every bucket is small
-    unless ``gamma`` is given."""
+def big_at(inst, sol, v, gamma, groups=1):
+    """The big buckets at v under thresholds(Q, 1/2), and the coverage there."""
     here = coverage(inst, [t.as_dict() for t in sol.tours])[v]
-    return _bucket_views(here, v, thresholds(inst.capacity, 0.5),
-                         len(sol.tours) if gamma is None else gamma, groups)
+    return _big_buckets(here, thresholds(inst.capacity, 0.5), gamma,
+                        groups), here
 
 
 def hub_solution(inst, per_tour=3):
@@ -129,20 +128,28 @@ class TestBucketViews:
     def test_small_bucket_classification(self):
         inst = hub_instance()
         sol = hub_solution(inst)
-        views = views_at(inst, sol, 1)
-        assert len(views) == 1
-        assert views[0].small
-        assert views[0].coverages == [3, 3, 3, 3]
+        big, here = big_at(inst, sol, 1, gamma=4)
+        assert big == []  # four tours are a small bucket at gamma 4
+        assert list(here.values()) == [3, 3, 3, 3]
+        [(bucket, groups)], _ = big_at(inst, sol, 1, gamma=3)
+        assert bucket == 2 and groups == [[0, 1, 2, 3]]
+
+    def test_small_buckets_are_skipped(self):
+        # coverages 1, 1, 1 (bucket 0) and 3 (bucket 2) at the hub
+        inst = hub_instance(leaves=6)
+        sol = Solution.of(inst, [Tour.of({2: 1}), Tour.of({3: 1}),
+                                 Tour.of({4: 1}), Tour.of({5: 1, 6: 1, 7: 1})])
+        big, _ = big_at(inst, sol, 1, gamma=2)
+        assert big == [(0, [[0, 1, 2]])]
+        big, _ = big_at(inst, sol, 1, gamma=0)
+        assert [b for b, _ in big] == [0, 2]  # ascending by bucket
 
     def test_big_bucket_grouping(self):
         inst = hub_instance()
         sol = hub_solution(inst)
-        views = views_at(inst, sol, 1, gamma=2, groups=2)
-        (view,) = views
-        assert not view.small
-        assert len(view.groups) == 2
-        assert all(len(g) == 2 for g in view.groups)
-        assert view.group_maxima == [3, 3]
+        [(bucket, groups)], _ = big_at(inst, sol, 1, gamma=2, groups=2)
+        assert bucket == 2
+        assert groups == [[0, 1], [2, 3]]
 
     def test_coverages_5_and_7_share_a_bucket(self):
         sched = thresholds(10, 0.5)  # sigma = 1,2,3,5,8,10
@@ -151,24 +158,65 @@ class TestBucketViews:
     def test_bucket_counts_partition_tours(self):
         inst = hub_instance()
         sol = hub_solution(inst, per_tour=2)
-        views = views_at(inst, sol, 1)
-        assert sum(len(v.coverages) for v in views) == len(sol.tours)
+        for gamma, groups in [(0, 1), (0, 2), (0, 4), (5, 4)]:
+            big, _ = big_at(inst, sol, 1, gamma, groups)
+            tids = [t for _, grps in big for grp in grps for t in grp
+                    if t is not None]
+            assert sorted(tids) == list(range(len(sol.tours)))
 
     def test_twelve_singletons_group_into_fours(self):
         inst = hub_instance()
         sol = hub_solution(inst, per_tour=1)
-        (view,) = views_at(inst, sol, 1, gamma=2, groups=3)
-        assert not view.small
-        assert [len(g) for g in view.groups] == [4, 4, 4]
-        assert view.group_maxima == [1, 1, 1]
+        [(_, groups)], _ = big_at(inst, sol, 1, gamma=2, groups=3)
+        assert [len(g) for g in groups] == [4, 4, 4]
+        assert groups == [list(range(i, i + 4)) for i in (0, 4, 8)]
 
     def test_null_padding_in_front(self):
         inst = hub_instance(leaves=9)
         sol = hub_solution(inst)  # 3 tours
-        views = views_at(inst, sol, 1, gamma=1, groups=2)
-        (view,) = views
+        [(_, groups)], _ = big_at(inst, sol, 1, gamma=1, groups=2)
         # 3 tours into 2 groups of 2: one null slot, padded at the front
-        assert view.groups[0][0] is None
+        assert groups == [[None, 0], [1, 2]]
+
+    def test_groups_ascend_by_coverage_then_id(self):
+        # coverages 5, 7, 6, 5 at the hub share bucket 3 of sigma 1,2,3,5,8,10
+        inst = hub_instance(leaves=23, q=10)
+        sizes = [5, 7, 6, 5]
+        leaves = iter(range(2, inst.n))
+        tours = [Tour.of({next(leaves): 1 for _ in range(k)}) for k in sizes]
+        sol = Solution.of(inst, tours)
+        [(bucket, groups)], _ = big_at(inst, sol, 1, gamma=1, groups=2)
+        assert bucket == 3
+        assert groups == [[0, 3], [2, 1]]
+
+
+class TestShiftBucket:
+    """The shift map on one big bucket: each group takes the bottoms of the
+    group before it, padded up to that group's maximum, and the last group's
+    bottoms leave as orphan units padded to its own maximum."""
+
+    def test_pads_to_group_maxima(self):
+        # coverages 5, 6, 6, 7 at the hub share bucket 3 of sigma 1,2,3,5,8,10
+        inst = hub_instance(leaves=24, q=10)
+        leaves = iter(range(2, inst.n))
+        picks = [{next(leaves): 1 for _ in range(k)} for k in (5, 6, 6, 7)]
+        here = coverage(inst, picks)[1]
+        [(_, groups)] = _big_buckets(here, thresholds(10, 0.5), 1, 2)
+        assert groups == [[0, 1], [2, 3]]  # maxima 6 and 7
+        pad_demand = [0] * inst.n
+        orphans = _shift_bucket(picks, pad_demand, 1, set(inst.subtree(1)),
+                                groups, here)
+        # group 2 takes the bottoms of tours 0 and 1, tour 0's padded from 5
+        # to 6 at the hub; group 1 is emptied below the hub
+        assert here == {2: 6, 3: 6}
+        assert picks[2] == dict.fromkeys([2, 3, 4, 5, 6, 1], 1)
+        assert picks[3] == dict.fromkeys(range(7, 13), 1)
+        assert picks[0] == picks[1] == {}
+        assert pad_demand[1] == 1
+        # the old bottoms of tours 2 and 3 leave as orphan units, padded to
+        # the last group's maximum 7; the caller counts those pads
+        assert orphans == [(dict.fromkeys(range(13, 19), 1), 1),
+                           (dict.fromkeys(range(19, 26), 1), 0)]
 
 
 class TestProfileComplexity:
@@ -312,3 +360,74 @@ class TestTransform:
         b = transform(inst, sol, 0.5, params, seed=7)
         assert a[1].canonical() == b[1].canonical()
         assert a[0] == b[0]
+
+
+def _deep_case():
+    """Depth 5, tours of mixed sizes: big buckets at two levels."""
+    inst = TreeInstance((-1, 0, 1, 2, 3, 2), (0, 3, 1, 4, 1, 4),
+                        (0, 1, 3, 2, 0, 3), 5)
+    sol = Solution.of(inst, [Tour(((2, 2), (3, 1))),
+                             Tour(((1, 1), (2, 1), (3, 1), (5, 1))),
+                             Tour(((5, 2),))])
+    return inst, sol
+
+
+def _padded_orphan_case():
+    inst = TreeInstance((-1, 0, 1, 1, 1), (0, 1, 4, 2, 5), (0, 3, 4, 7, 3), 8)
+    sol = Solution.of(inst, [
+        Tour.of({1: 1, 2: 1, 3: 2, 4: 1}), Tour.of({1: 1, 2: 2, 3: 1, 4: 2}),
+        Tour.of({3: 2}), Tour.of({1: 1}), Tour.of({2: 1, 3: 2})])
+    return inst, sol
+
+
+def _itp_case():
+    inst = generate("random", 8, 5, "uniform", 0)
+    return inst, itp_solve(inst)
+
+
+class TestTransformPinned:
+    """Whole outputs of ``transform`` on fixed cases, as first recorded."""
+
+    @pytest.mark.parametrize("case, eps, params, demand, tours, report", [
+        # shift pads at the depth-2 node, orphans at two levels
+        (_deep_case, Fraction(1), (1, 2), (0, 1, 4, 2, 0, 3),
+         [(), ((1, 1), (2, 2)), (), ((2, 1), (5, 2)), ((3, 1),),
+          ((2, 1), (3, 1), (5, 1)), (), (), ()],
+         (56, 64, 56, 1, [0, 1, 2], 2, 52)),
+        # a pad made at node 1 and orphaned there stays a pad
+        (_padded_orphan_case, Fraction(2), (0, 3), (0, 3, 4, 8, 3),
+         [(), (), ((1, 1),), ((1, 1),), ((1, 1), (2, 1), (4, 1)),
+          ((2, 2), (3, 2), (4, 2)), ((3, 2),), ((3, 2),), ((2, 1), (3, 2)),
+          (), (), (), (), (), ()],
+         (70, 74, 70, 1, [0, 1, 2, 3, 4], 5, 68)),
+        # one tour of four sampled; it hosts the one orphan unit
+        (_itp_case, Fraction(1, 2), (1, 2), (0, 4, 1, 3, 4, 2, 2, 1),
+         [((1, 4),), ((3, 3), (5, 2)), ((2, 1), (4, 4)), ((6, 2),),
+          ((7, 1),), ()],
+         (126, 142, 42, 0, [2], 1, 34)),
+    ])
+    def test_outputs(self, case, eps, params, demand, tours, report):
+        inst, sol = case()
+        inst2, sol2, rep = transform(inst, sol, eps, TransformParams(*params),
+                                     seed=0)
+        assert inst2 == inst.replace(demand=demand)
+        assert [t.pickups for t in sol2.tours] == tours
+        assert (rep.cost_before, rep.cost_after, rep.sampled_cost,
+                rep.pad_tokens, rep.sampled_ids, rep.big_buckets,
+                rep.shortcut_savings) == report
+        assert check_feasible(inst2, sol2).ok
+
+    @pytest.mark.parametrize("case, eps, params, seed, text, node, bucket", [
+        (_deep_case, Fraction(1), (0, 2), 0,
+         "level 4: only 0 sampled hosts for 1 orphan units at node 5 bucket 1",
+         5, 1),
+        (lambda: (hub_instance(), hub_solution(hub_instance())), 0.5, (2, 2),
+         1, "level 2: only 1 sampled hosts for 2 orphan units at node 1 "
+         "bucket 2", 1, 2),
+    ])
+    def test_raises(self, case, eps, params, seed, text, node, bucket):
+        inst, sol = case()
+        with pytest.raises(TransformInfeasible) as exc:
+            transform(inst, sol, eps, TransformParams(*params), seed)
+        assert (str(exc.value), exc.value.node, exc.value.bucket) == \
+            (text, node, bucket)
