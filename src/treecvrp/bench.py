@@ -69,15 +69,28 @@ def load_config(text: str) -> dict:
             raise ValueError(f"unknown algorithm {algo!r}")
     for spec in config["instances"]:
         try:
-            check_args(spec["shape"], int(spec["n"]), int(spec["Q"]),
-                       spec.get("demand_model", "unit"))
-            [int(seed) for seed in spec.get("seeds", [0])]
+            _spec_values(spec)
         except KeyError as exc:
             raise ValueError(f"instance spec {spec!r} missing {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad instance spec {spec!r}: {exc}") from None
     _suite_eps(config)
     return config
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a bool and a float that is not integral."""
+    if isinstance(value, bool) or (isinstance(value, float) and value % 1):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _spec_values(spec: dict) -> tuple:
+    """The checked shape, n, Q, demand model and seeds of a spec."""
+    args = (spec["shape"], _integer(spec["n"]), _integer(spec["Q"]),
+            spec.get("demand_model", "unit"))
+    check_args(*args)
+    return args + ([_integer(seed) for seed in spec.get("seeds", [0])],)
 
 
 def positive_fraction(value) -> Fraction | None:
@@ -103,13 +116,11 @@ def run_suite(config: dict, timing: bool = False) -> str:
     eps = _suite_eps(config)
     rows = []
     for spec in config["instances"]:
-        shape = spec["shape"]
-        n, q = int(spec["n"]), int(spec["Q"])
-        model = spec.get("demand_model", "unit")
-        for seed in spec.get("seeds", [0]):
-            inst = generate(shape, n, q, model, int(seed))
-            key = dict(shape=shape, n=n, Q=q, demand_model=model,
-                       seed=int(seed), eps=float(eps))
+        shape, n, q, model, seeds = _spec_values(spec)
+        for seed in seeds:
+            inst = generate(shape, n, q, model, seed)
+            key = dict(shape=shape, n=n, Q=q, demand_model=model, seed=seed,
+                       eps=float(eps))
             rows.extend(_instance_rows(inst, key, config["algorithms"], eps,
                                        timing))
     rows.sort(key=lambda r: (r["shape"], r["n"], r["Q"], r["demand_model"],
@@ -139,8 +150,7 @@ def _instance_rows(inst, key, algorithms, eps, timing) -> list[dict]:
         stats: dict = {}
         sol, ms = (oracle if algo == "exact"
                    else _attempt(_solve, algo, inst, eps, stats))
-        row = dict(key, algorithm=algo, cost="", reference="", ref_value="",
-                   ratio="", states="", wall_ms="", error="")
+        row = {**dict.fromkeys(COLUMNS, ""), **key, "algorithm": algo}
         rows.append(row)
         if isinstance(sol, Exception):
             row["error"] = f"{type(sol).__name__}: {sol}"
@@ -165,8 +175,6 @@ def _summaries(rows) -> list[dict]:
         ratios = [Fraction(r["ratio"]) for r in rows
                   if r["algorithm"] == algo and r["ratio"] and not r["error"]]
         mean = sum(ratios) / len(ratios) if ratios else ""
-        out.append(dict(shape="summary", n="", Q="", demand_model="", seed="",
-                        algorithm=algo, eps="", cost="", reference="",
-                        ref_value="", ratio=str(mean), states="", wall_ms="",
-                        error=""))
+        out.append({**dict.fromkeys(COLUMNS, ""), "shape": "summary",
+                    "algorithm": algo, "ratio": str(mean)})
     return out

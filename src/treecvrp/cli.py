@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification/transform failure, 2 usage error
-(click's default), 3 resource limit exceeded.
+(click's default, or an unreadable input file), 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -43,10 +43,14 @@ eps_option = click.option("--eps", default="0.5", metavar="FRACTION",
 
 
 def _read(path: str) -> str:
+    """An input file's text (``-`` is stdin); if unreadable, a usage error."""
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}")
 
 
 def _given(**flags) -> dict:

@@ -71,8 +71,9 @@ least need(e) tours cross e. The path term holds as before, because rounding
 maps a profile to one of the same length and never merges tours. When the
 grid is 1..Q, L = Q and the bound is the structured one.
 
-UB is deepened iteratively (Korf 1985), one depot subtree at a time: the
-depot is not folded, so its subtrees are independent. A subtree's first round
+UB is deepened iteratively (Korf 1985), one depot subtree at a time in child
+order: the depot is not folded, so its subtrees are independent, and a run
+stops at the first one that fails. A subtree's first round
 takes UB = its flow bound LB_t. A round fails when a node's table empties
 after something was cut; the next round takes UB = max(least cut lb,
 2*UB - LB_t), so a positive gap UB - LB_t at least doubles, and a round that
@@ -91,6 +92,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .baselines import flow_need
 from .instance import Solution, Tour, TreeInstance, Weight
@@ -111,10 +113,6 @@ class NoStructuredSolutionError(RuntimeError):
     def __init__(self, message: str, node: int):
         super().__init__(message)
         self.node = node
-
-
-class _PrunedOut(Exception):
-    """A node's table emptied after the bound cut something: deepen UB."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def _check_budget(table: Table, budget: int, node: int) -> None:
 
 class _Bound:
     """The cut of the deepening rounds (module docstring), for tours of at
-    most ``load_cap`` true tokens.
+    most ``load_cap`` true tokens and nodes of at most ``pad_cap`` pads.
 
     ``start(t)`` opens the first round on depot subtree t, ``enter(v)``
     resets the bound to node v and ``folded(u)`` moves child u's subtree from
@@ -167,11 +165,12 @@ class _Bound:
     tours survives while ``c + extra[m] <= slack``, where ``slack`` is UB
     minus the flow bound of the edges not yet charged and ``extra[m]`` is the
     path term of node v. ``over`` is the least amount by which a cut state's
-    bound exceeded UB in this round, or None if nothing was cut.
+    bound exceeded UB in this round, or None if nothing was cut, and
+    ``rounds`` counts the rounds opened.
     """
 
     def __init__(self, inst: TreeInstance, pad_cap: int, load_cap: int):
-        self.inst = inst
+        self.inst, self.pad_cap, self.rounds = inst, pad_cap, 0
         self.need = flow_need(inst, load_cap)
         # flow bound of subtree(v), v's own edge included
         self.below = [2 * w * k for w, k in zip(inst.weight, self.need)]
@@ -184,10 +183,12 @@ class _Bound:
     def start(self, t: int) -> None:
         self.lb = self.ub = self.below[t]
         self.over = None
+        self.rounds += 1
 
     def deepen(self) -> None:
         self.ub = max(self.ub + self.over, 2 * self.ub - self.lb)
         self.over = None
+        self.rounds += 1
 
     def enter(self, v: int) -> None:
         self.slack = self.ub - self.lb
@@ -200,17 +201,17 @@ class _Bound:
         """``extra[m]``, the sum of 2*w(e)*max(0, m - need(e)) over the edges
         e from v up to its depot child, for m up to ``tour_cap[v]``.
 
-        need(e) never falls going up, so the walk stops at the first edge
-        that adds nothing."""
+        Each edge adds 2*w(e) to the slope of ``extra`` from m = need(e)+1
+        on, so one walk up marks the slope steps and ``extra`` sums them
+        twice. need(e) never falls going up, so the walk stops at the first
+        edge that adds nothing."""
         cap = self.tour_cap[v]
-        extra = [0] * (cap + 1)
+        step = [0] * (cap + 1)
         u = v
         while u and self.need[u] < cap:
-            w2, k = 2 * self.inst.weight[u], self.need[u]
-            for m in range(k + 1, cap + 1):
-                extra[m] += w2 * (m - k)
+            step[self.need[u] + 1] += 2 * self.inst.weight[u]
             u = self.inst.parent[u]
-        return extra
+        return list(accumulate(accumulate(step)))
 
     def most_tours(self, cost) -> int:
         """The most tours a state of this cost may hold; -1 if none."""
@@ -372,9 +373,8 @@ def _rebuild(key: tuple, back) -> list:
     return done.pop()
 
 
-def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
-           stats: dict | None = None,
-           bound: _Bound | None = None) -> tuple[Weight, list]:
+def _sweep(inst: TreeInstance, node_filter, bound: _Bound, budget: int,
+           stats: dict | None = None) -> tuple[Weight, list]:
     """Bottom-up profile DP; returns the root's cost and its tours.
 
     ``node_filter`` runs once per non-depot node, on its profile after the
@@ -383,80 +383,66 @@ def _sweep(inst: TreeInstance, node_filter, pad_cap: int, budget: int,
     concatenates each depot child's best entry and covers ``demand[0]`` with
     extra tours of at most Q tokens, which cost nothing.
 
-    Each depot subtree is swept on its own, in deepening rounds when a
-    ``bound`` is given and in one round otherwise. ``states`` counts the
-    tables after each child fold and after the filter in the last round of
-    each subtree; ``rounds`` counts the subtree sweeps. If subtrees fail, the
-    error raised is the one the sweep of the whole tree in
-    ``reversed(topo_order)`` meets first.
+    Each depot subtree is swept on its own, in deepening rounds of ``bound``,
+    and the run stops at the first one, in child order, that fails: its error
+    is raised and no later subtree is swept. ``states`` counts the tables
+    after each child fold and after the filter in the last round of each
+    subtree; ``rounds`` counts the subtree sweeps.
     """
-    cost, tours, failed = 0, [], []
-    states = rounds = 0
+    cost, tours = 0, []
+    states = 0
     for t in inst.children[0]:
         # subtree(t) is topo_order restricted to it: reversed, every child
         # comes before its parent
         nodes = inst.subtree(t)[::-1]
-        if bound is not None:
-            bound.start(t)
-        try:
-            while True:
-                rounds += 1
-                try:
-                    table, n = _sweep_subtree(inst, nodes, node_filter,
-                                              pad_cap, budget, bound)
-                    break
-                except _PrunedOut:
-                    bound.deepen()
-        except (ResourceLimitError, NoStructuredSolutionError) as exc:
-            failed.append(exc)
-            continue
+        bound.start(t)
+        while (swept := _sweep_subtree(inst, nodes, node_filter, budget,
+                                       bound)) is None:
+            bound.deepen()
+        table, n = swept
         key = min(table, key=lambda k: (table[k][0], len(k), k))
         c, back = table[key]
-        assert bound is None or c <= bound.ub
+        assert c <= bound.ub
         cost += c
         tours.extend(_rebuild(key, back))
         states += n
-    if failed:
-        order = inst.topo_order[::-1]
-        raise min(failed, key=lambda exc: order.index(exc.node))
     q, d0 = inst.capacity, inst.demand[0]
     for i in range(0, d0, q):
         size = min(q, d0 - i)
         tours.append((size, ((0, size),)))
     if stats is not None:
         stats["states"] = states
-        stats["rounds"] = rounds
+        stats["rounds"] = bound.rounds
     return cost, tours
 
 
 def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
-                   pad_cap: int, budget: int, bound: _Bound | None):
+                   budget: int, bound: _Bound):
     """One round over one depot subtree, ``nodes`` children first.
 
     Returns the charged table of the subtree root (the last node) and the
-    number of states kept. A table that empties after ``bound`` cut something
-    raises ``_PrunedOut``; one that empties otherwise is the unpruned DP's.
+    number of states kept, or None if a table empties after ``bound`` cut
+    something: the round must deepen. One that empties otherwise is the
+    unpruned DP's.
     """
     table: dict[int, Table] = {}
     states = 0
     for v in nodes:
-        if bound is not None:
-            bound.enter(v)
+        bound.enter(v)
         acc: Table = {(): (0, None)}
         for u in inst.children[v]:
-            if bound is not None:
-                bound.folded(u)
+            bound.folded(u)
             acc = merge_child_table(acc, table.pop(u), inst.capacity,
                                     budget, v, bound)
             states += len(acc)
         acc = merge_child_table(
-            acc, _own_tokens(v, inst.demand[v], inst.capacity, pad_cap),
+            acc, _own_tokens(v, inst.demand[v], inst.capacity, bound.pad_cap),
             inst.capacity, budget, v, bound)
         acc = node_filter(acc)
         states += len(acc)
         if not acc:
-            if bound is not None and bound.over is not None:
-                raise _PrunedOut
+            if bound.over is not None:
+                return None
             raise NoStructuredSolutionError(
                 f"no admissible profile survives at node {v}", v)
         table[v] = charge_edge(acc, inst.weight[v])
@@ -528,8 +514,9 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
         raise ValueError("eps must be positive")
     ep = eps_prime if eps_prime is not None else default_eps_prime(inst, eps)
     sigma = thresholds(inst.capacity, ep).sigma
-    cost, tours = _sweep(inst, _rounding_filter(sigma), 0, max_states, stats,
-                         _Bound(inst, 0, _load_cap(inst, sigma)))
+    cost, tours = _sweep(inst, _rounding_filter(sigma),
+                         _Bound(inst, 0, _load_cap(inst, sigma)), max_states,
+                         stats)
     sol = _to_solution(inst, tours)
     max_load = max((t.load for t in sol.tours), default=0)
     grid_exact = sigma == tuple(range(1, inst.capacity + 1))
@@ -570,9 +557,9 @@ def solve_structured(inst: TreeInstance,
     """
     if params is None:
         params = DPParams.generous(inst, eps)
-    _, tours = _sweep(inst, _structure_filter(params), params.pad_cap,
-                      params.max_states, stats,
-                      _Bound(inst, params.pad_cap, inst.capacity))
+    _, tours = _sweep(inst, _structure_filter(params),
+                      _Bound(inst, params.pad_cap, inst.capacity),
+                      params.max_states, stats)
     sol = _to_solution(inst, tours)
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})

@@ -19,8 +19,15 @@ list entry per token, one dict per block, and every block priced by
 ``decompose_reference`` builds the D-path decomposition by descent: from
 each path's top it steps into the child with the largest subtree until a
 leaf. ``treecvrp.height.decompose_paths`` must equal it.
+
+``Unbounded`` is the deepening bound at UB = infinity, which cuts nothing:
+``treecvrp.dp._sweep`` run with it is the unpruned profile DP that the
+bound-pruned solvers must agree with.
 """
 
+import math
+
+from treecvrp.dp import _Bound
 from treecvrp.exact import OracleSizeError
 from treecvrp.height import PathDecomposition
 from treecvrp.instance import Solution, Tour, pickup_set_cost
@@ -199,3 +206,11 @@ def decompose_reference(inst):
                     pending.append((c, u, lvl + 1))
     return PathDecomposition(
         tuple(tuple(sorted(lv)) for lv in levels), tuple(node_level))
+
+
+class Unbounded(_Bound):
+    """The profile DP's bound with UB = infinity: no state is ever cut."""
+
+    def start(self, t):
+        super().start(t)
+        self.ub = math.inf

@@ -172,6 +172,12 @@ def test_load_config_validates():
     ({"shape": "star", "n": None, "Q": 2}, "bad instance spec"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": ["x"]}, "invalid literal"),
     (["star", 4, 2], "bad instance spec"),
+    ({"shape": "star", "n": 4.9, "Q": 2}, "not an integer: 4.9"),
+    ({"shape": "star", "n": 4, "Q": 2.5}, "not an integer: 2.5"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": [1.7]}, "not an integer: 1.7"),
+    ({"shape": "star", "n": True, "Q": 2}, "not an integer: True"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": [0, False]},
+     "not an integer: False"),
 ])
 def test_load_config_rejects_bad_instance_specs(spec, text):
     # a good spec first: every spec is checked, not just the first

@@ -335,6 +335,10 @@ def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     ({"shape": "star", "Q": 2}, "missing 'n'"),
     ({"shape": "blob", "n": 4, "Q": 2}, "unknown shape 'blob'"),
     ({"shape": "star", "n": 4, "Q": 0}, "need n >= 2 and Q >= 1"),
+    ({"shape": "star", "n": 4.9, "Q": 2}, "not an integer: 4.9"),
+    ({"shape": "star", "n": 4, "Q": 2.5}, "not an integer: 2.5"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": [1.7]}, "not an integer: 1.7"),
+    ({"shape": "star", "n": 4, "Q": True}, "not an integer: True"),
 ])
 def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
     config = tmp_path / "suite.json"
@@ -365,3 +369,25 @@ def test_negative_counts_are_usage_errors(tmp_path, args):
     r = run("solve", str(inst_file), *args)
     assert r.exit_code == 2, r.output
     assert args[2] in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "{missing}"),
+    ("verify", "{missing}", "{missing}"),
+    ("verify", "{inst}", "{missing}"),
+    ("bound", "{missing}"),
+    ("bound", "{dir}"),
+    ("bound", "{binary}"),
+    ("reduce", "{missing}"),
+    ("transform", "{inst}", "{missing}"),
+    ("bench", "{missing}"),
+])
+def test_unreadable_input_file_is_usage_error(tmp_path, args):
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    r = run(*(a.format(inst=inst_file, missing=tmp_path / "missing.txt",
+                       dir=tmp_path, binary=binary) for a in args))
+    assert r.exit_code == 2, r.output
+    assert "cannot read" in r.output

@@ -14,14 +14,14 @@ from treecvrp.dp import (
     _load_cap, _own_tokens, _rebuild, _rounding_filter, _structure_filter,
     _sweep, _to_solution, charge_edge, default_eps_prime, merge_child_table,
     solve_bicriteria, solve_structured)
-from treecvrp.generate import stress_instance
+from treecvrp.generate import generate, stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.structure import TransformParams, profile_complexity, thresholds
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
-from oracle import solve_residual
+from oracle import Unbounded, solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -222,7 +222,9 @@ class TestBicriteria:
             for eps_prime in (0.25, 0.5, 1.0):
                 res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
                 sigma = thresholds(inst.capacity, eps_prime).sigma
-                cost, tours = _sweep(inst, _rounding_filter(sigma), 0, 10 ** 6)
+                cost, tours = _sweep(inst, _rounding_filter(sigma),
+                                     Unbounded(inst, 0, inst.capacity),
+                                     10 ** 6)
                 loads = [t.load for t in _to_solution(inst, tours).tours]
                 assert (res.dp_cost, res.max_load) == (cost, max(loads)), \
                     (inst, eps_prime)
@@ -245,7 +247,8 @@ class TestBicriteria:
         # (2,); the depot holds no frontier, so the inner node overflows
         inst = TreeInstance((-1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), 2)
         with pytest.raises(ResourceLimitError) as info:
-            _sweep(inst, _rounding_filter((1, 2)), 0, 1)
+            _sweep(inst, _rounding_filter((1, 2)),
+                   Unbounded(inst, 0, inst.capacity), 1)
         assert info.value.node == 1
 
     def test_pruned_state_budget(self):
@@ -420,11 +423,11 @@ def hub_tree(seed, hubs, capacity=5, leaves=(2, 4), max_tokens=None):
 def sweep_both_ways(inst, params):
     """(cost, canonical solution) or the failing node, pruned and not."""
     out = []
-    for bound in (None, _Bound(inst, params.pad_cap, inst.capacity)):
+    for kind in (Unbounded, _Bound):
         try:
             cost, tours = _sweep(inst, _structure_filter(params),
-                                 params.pad_cap, params.max_states,
-                                 bound=bound)
+                                 kind(inst, params.pad_cap, inst.capacity),
+                                 params.max_states)
         except NoStructuredSolutionError as exc:
             out.append(exc.node)
         else:
@@ -442,14 +445,25 @@ class TestBoundPruning:
 
     def test_failure_is_the_first_in_sweep_order(self):
         # unpruned, nodes 1 and 2 each hold (1, 1) and (2,), over a budget
-        # of one state; the sweep of the whole tree in reversed topo order
-        # (4, 3, 6, 5, 2, 1) meets node 2 first. Pruned, (1, 1) would cross
-        # edge 1 or 2 twice, above the flow bound, so the budget holds.
+        # of one state; depot subtree 1 comes first in child order, so the
+        # run stops at node 1 and never sweeps subtree 2. Pruned, (1, 1)
+        # would cross edge 1 or 2 twice, above the flow bound, so the budget
+        # holds.
         inst = TreeInstance((-1, 0, 0, 1, 1, 2, 2), (0,) + (1,) * 6,
                             (0, 0, 0, 1, 1, 1, 1), 2)
+        rounding, seen = _rounding_filter((1, 2)), set()
+
+        def recording(acc):
+            # the nodes whose tokens the filtered profiles carry
+            for key, (_, back) in acc.items():
+                seen.update(v for _, phys in _rebuild(key, back)
+                            for v, _ in phys)
+            return rounding(acc)
+
         with pytest.raises(ResourceLimitError) as info:
-            _sweep(inst, _rounding_filter((1, 2)), 0, 1)
-        assert info.value.node == 2
+            _sweep(inst, recording, Unbounded(inst, 0, inst.capacity), 1)
+        assert info.value.node == 1
+        assert seen == {3, 4}
         params = DPParams(gamma=9, groups=1, schedule=thresholds(2, 0.5),
                           max_states=1)
         assert solve_structured(inst, 0.5, params).total_cost == \
@@ -506,6 +520,29 @@ class TestBoundPruning:
                     assert pruned == unpruned, (seed, params)
                     failed += isinstance(pruned, int)
         assert failed > 0
+
+    def test_path_term_is_its_definition(self):
+        # extra[m] is the direct sum of 2*w(e)*max(0, m - need(e)) over the
+        # edges e from v up to its depot child, at integer and Fraction
+        # weights, with pads and at a load cap above Q
+        for shape in ("path", "random", "binary"):
+            for model in ("unit", "heavy"):
+                base = generate(shape, 16, 3, model, 0)
+                thirds = TreeInstance(
+                    base.parent, tuple(Fraction(w, 3) for w in base.weight),
+                    base.demand, base.capacity)
+                for inst, pad_cap, load_cap in itertools.product(
+                        (base, thirds), (0, 2), (3, 9)):
+                    bound = _Bound(inst, pad_cap, load_cap)
+                    for v in range(1, inst.n):
+                        path, u = [], v
+                        while u:
+                            path.append(u)
+                            u = inst.parent[u]
+                        assert bound._path_term(v) == [
+                            sum(2 * inst.weight[e] * max(0, m - bound.need[e])
+                                for e in path)
+                            for m in range(bound.tour_cap[v] + 1)]
 
 
 class TestCollapsedRoot:
@@ -702,9 +739,9 @@ class TestRebuild:
             for params in (DPParams(gamma=1, groups=1, schedule=sched),
                            DPParams.defaults(inst, 0.5)):
                 try:
-                    cost, tours = _sweep(inst, _structure_filter(params), 0,
-                                         params.max_states,
-                                         bound=_Bound(inst, 0, inst.capacity))
+                    cost, tours = _sweep(inst, _structure_filter(params),
+                                         _Bound(inst, 0, inst.capacity),
+                                         params.max_states)
                 except NoStructuredSolutionError:
                     continue
                 assert cost == _to_solution(inst, tours).total_cost, inst
