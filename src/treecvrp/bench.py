@@ -90,7 +90,10 @@ def _spec_values(spec: dict) -> tuple:
     args = (spec["shape"], _integer(spec["n"]), _integer(spec["Q"]),
             spec.get("demand_model", "unit"))
     check_args(*args)
-    return args + ([_integer(seed) for seed in spec.get("seeds", [0])],)
+    seeds = spec.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ValueError(f"seeds must be a non-empty list, got {seeds!r}")
+    return args + ([_integer(seed) for seed in seeds],)
 
 
 def positive_fraction(value) -> Fraction | None:

@@ -96,6 +96,12 @@ def select_anchors(weights: list[Weight], eps: float) -> list[int]:
 
 @dataclass(frozen=True)
 class ReducedTree:
+    """A height-reduced tree and the tree it came from.
+
+    When no edge was zeroed the reduction changed nothing, and ``tree`` is
+    ``original`` itself, with its cached tables.
+    """
+
     tree: TreeInstance
     original: TreeInstance  # same node ids as ``tree``
     zeroed_edges: tuple[int, ...]  # nodes whose parent edge was zeroed
@@ -106,6 +112,12 @@ def path_length_trigger(n: int, eps: float) -> float:
 
 
 def build_reduced_tree(inst: TreeInstance, eps: float) -> ReducedTree:
+    """Compress every D-path longer than ``path_length_trigger`` edges.
+
+    Returns ``ReducedTree(inst, inst, ())`` when no edge is zeroed: an anchor
+    step of one edge writes back the same parent and weight, so the tree is
+    unchanged and ``inst`` comes back.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     decomp = decompose_paths(inst)
@@ -129,15 +141,25 @@ def build_reduced_tree(inst: TreeInstance, eps: float) -> ReducedTree:
                     zeroed.append(path[mid])
                 parent[path[aj]] = a_node
                 weight[path[aj]] = seg
+    if not zeroed:
+        return ReducedTree(inst, inst, ())
     reduced = TreeInstance(tuple(parent), tuple(weight), inst.demand, inst.capacity)
     return ReducedTree(reduced, inst, tuple(sorted(zeroed)))
 
 
 def lift_solution(rt: ReducedTree, sol: Solution) -> Solution:
-    """Re-cost a reduced-tree solution on the original tree."""
+    """Re-cost a reduced-tree solution on the original tree.
+
+    ``sol`` is checked in full on ``rt.tree``. When that tree is the original
+    (the reduction changed nothing), the check's cost is the lifted cost, so
+    the tours are priced once; otherwise they are priced again on the
+    original.
+    """
     from .verify import check_feasible
 
     report = check_feasible(rt.tree, sol)
     if not report.ok:
         raise ValueError(f"solution infeasible on reduced tree: {report.violations}")
+    if rt.tree is rt.original:
+        return Solution(sol.tours, report.recomputed_cost)
     return Solution.of(rt.original, sol.tours)

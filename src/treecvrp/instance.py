@@ -195,7 +195,7 @@ class TreeInstance:
         return TreeInstance(**fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tour:
     """One vehicle route, as the multiset of (node, tokens picked)."""
 
@@ -305,6 +305,8 @@ def normalize_demands(inst: TreeInstance) -> tuple[TreeInstance, Solution]:
     """Peel full vehicle loads at each node into dedicated trivial tours.
 
     Returns the residual instance (d(v) < Q everywhere) and the peeled tours.
+    When no demand reaches Q nothing is peeled, and ``inst`` itself comes
+    back, with its cached tables, next to an empty solution.
     """
     q = inst.capacity
     residual = list(inst.demand)
@@ -313,6 +315,8 @@ def normalize_demands(inst: TreeInstance) -> tuple[TreeInstance, Solution]:
         while residual[v] >= q:
             residual[v] -= q
             trivial.append(Tour.of({v: q}))
+    if not trivial:
+        return inst, Solution((), 0)
     out = inst.replace(demand=tuple(residual))
     return out, Solution.of(inst, trivial)
 

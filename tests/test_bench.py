@@ -178,6 +178,10 @@ def test_load_config_validates():
     ({"shape": "star", "n": True, "Q": 2}, "not an integer: True"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": [0, False]},
      "not an integer: False"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": "12"},
+     "seeds must be a non-empty list, got '12'"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": []},
+     "seeds must be a non-empty list, got []"),
 ])
 def test_load_config_rejects_bad_instance_specs(spec, text):
     # a good spec first: every spec is checked, not just the first

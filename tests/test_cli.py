@@ -339,6 +339,10 @@ def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     ({"shape": "star", "n": 4, "Q": 2.5}, "not an integer: 2.5"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": [1.7]}, "not an integer: 1.7"),
     ({"shape": "star", "n": 4, "Q": True}, "not an integer: True"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": "12"},
+     "seeds must be a non-empty list, got '12'"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": []},
+     "seeds must be a non-empty list, got []"),
 ])
 def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
     config = tmp_path / "suite.json"

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from treecvrp import height
+from treecvrp import height, instance
 from treecvrp.exact import solve_exact
-from treecvrp.generate import generate
+from treecvrp.generate import SHAPES, generate
 from treecvrp.height import (
     build_reduced_tree, decompose_paths, lift_solution, path_length_trigger,
     select_anchors)
@@ -75,6 +75,18 @@ def _assert_matches_reference(inst):
             want = [build_reduced_tree(tree, eps) for eps in REDUCE_EPS]
         assert [(rt.tree, rt.zeroed_edges) for rt in built] == \
             [(rt.tree, rt.zeroed_edges) for rt in want]
+    _assert_identity_rule(inst)
+
+
+def _assert_identity_rule(inst):
+    """The reduced tree is the input itself exactly when no edge is zeroed;
+    a zeroed edge always moves some node's parent."""
+    for eps in REDUCE_EPS:
+        rt = build_reduced_tree(inst, eps)
+        assert rt.original is inst
+        assert (rt.tree is inst) == (rt.zeroed_edges == ())
+        if rt.zeroed_edges:
+            assert rt.tree.parent != inst.parent
 
 
 @st.composite
@@ -120,6 +132,47 @@ class TestDecompositionReference:
     def test_substrate_shapes(self):
         for shape in ("random", "path", "binary"):
             _assert_matches_reference(generate(shape, 400, 10, "unit", 7))
+
+
+# (shape, n, demand model) of the substrate benchmark trees, at Q = 10
+SUBSTRATE_SIZES = (
+    ("path", 1500, "uniform"), ("path", 2000, "unit"),
+    ("random", 16000, "heavy"), ("binary", 16000, "uniform"),
+    ("star", 16000, "uniform"), ("random", 400, "uniform"),
+    ("binary", 400, "uniform"), ("path", 300, "uniform"),
+    ("star", 300, "uniform"), ("random", 600, "uniform"),
+    ("binary", 600, "uniform"), ("path", 600, "uniform"),
+    ("star", 600, "uniform"))
+
+
+class TestIdentityReduction:
+    """A reduction that zeroes no edge returns its input."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generator_shapes(self, shape):
+        for n in (2, 9, 40, 300):
+            for seed in range(3):
+                _assert_identity_rule(generate(shape, n, 3, "uniform", seed))
+
+    def test_substrate_sizes(self):
+        kept = 0
+        for shape, n, model in SUBSTRATE_SIZES:
+            inst = generate(shape, n, 10, model, 1)
+            _assert_identity_rule(inst)
+            kept += build_reduced_tree(inst, Fraction(1, 2)).tree is inst
+        # every tree but the paths keeps its shape at eps 1/2
+        assert kept == 9
+
+    def test_triggered_path_with_one_edge_steps(self):
+        # doubling weights outgrow eps times the weight above them, so every
+        # anchor step spans one edge: the path triggers but nothing moves
+        inst = TreeInstance(tuple(range(-1, 63)),
+                            (0,) + tuple(2 ** i for i in range(63)),
+                            (0,) * 63 + (1,), 3)
+        assert 63 > path_length_trigger(inst.n, 0.5)
+        assert select_anchors(list(inst.weight[1:]), 0.5) == list(range(64))
+        rt = build_reduced_tree(inst, 0.5)
+        assert rt.tree is inst and rt.zeroed_edges == ()
 
 
 class TestAnchors:
@@ -253,6 +306,36 @@ class TestProjectLift:
         bogus = Solution.of(rt.tree, [Tour.of({1: 1})])
         with pytest.raises(ValueError):
             lift_solution(rt, bogus)
+
+    @pytest.mark.parametrize("shape", ["path", "random"])
+    def test_lift_prices_on_the_original(self, shape, monkeypatch):
+        from treecvrp.baselines import itp_solve
+        inst = generate(shape, 60, 3, "uniform", 2)
+        rt = build_reduced_tree(inst, 0.5)
+        # the path is compressed, the random tree comes back as it was
+        assert (rt.tree is inst) == (shape == "random")
+        sol = itp_solve(rt.tree)
+        calls = []
+        sets_cost = instance._sets_cost
+        monkeypatch.setattr(instance, "_sets_cost",
+                            lambda *a: calls.append(1) or sets_cost(*a))
+        lifted = lift_solution(rt, sol)
+        # one pricing when the trees coincide, one per tree otherwise
+        assert len(calls) == (1 if rt.tree is inst else 2)
+        monkeypatch.undo()
+        assert lifted == Solution.of(inst, sol.tours)
+
+    def test_identity_lift_still_checks(self):
+        inst = generate("random", 30, 3, "unit", 1)
+        rt = build_reduced_tree(inst, 0.5)
+        assert rt.tree is inst
+        with pytest.raises(ValueError, match="infeasible on reduced tree"):
+            lift_solution(rt, Solution.of(inst, [Tour.of({1: 1})]))
+        sol = Solution.of(inst, [Tour.of({v: 1}) for v in range(1, inst.n)])
+        assert lift_solution(rt, sol) == sol
+        wrong = Solution(sol.tours, sol.total_cost + 1)
+        with pytest.raises(ValueError, match="declared cost"):
+            lift_solution(rt, wrong)
 
 
 def test_sandwich_on_small_paths():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -112,6 +113,14 @@ def test_tour_names_its_first_bad_pickup(pickups, text):
     with pytest.raises(ValueError) as exc:
         Tour(pickups)
     assert str(exc.value) == text
+
+
+def test_tour_is_slotted_and_frozen():
+    t = Tour.of({1: 2, 3: 1})
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.pickups = ()
+    assert t.pickups == ((1, 2), (3, 1))
 
 
 def test_tour_cost_on_star():
@@ -300,6 +309,24 @@ def test_normalize_demands_noop_below_capacity():
     residual, peeled = normalize_demands(STAR)
     assert residual.demand == STAR.demand
     assert not peeled.tours
+
+
+def test_normalize_demands_returns_its_input_when_nothing_peels():
+    insts = [random_instance(seed, max_n=8, unit_demand=False)
+             for seed in range(40)]
+    insts += [generate(shape, 200, q, model, seed) for shape in SHAPES
+              for q, model in ((3, "uniform"), (10, "heavy"))
+              for seed in range(2)]
+    peeled_some = 0
+    for inst in insts:
+        residual, peeled = normalize_demands(inst)
+        full = any(d >= inst.capacity for d in inst.demand)
+        peeled_some += full
+        assert (residual is inst) == (not full)
+        assert bool(peeled.tours) == full
+        if not full:
+            assert peeled == Solution((), 0)
+    assert 0 < peeled_some < len(insts)
 
 
 def test_normalize_token_conservation():
