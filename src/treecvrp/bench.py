@@ -61,12 +61,16 @@ def load_config(text: str) -> dict:
     """Parse and check a suite config; every error is a ``ValueError`` (or a
     ``json.JSONDecodeError``) raised before anything is solved."""
     config = json.loads(text)
+    if not isinstance(config, dict):
+        raise ValueError(f"suite config must be an object, got {config!r}")
     for key in ("instances", "algorithms"):
-        if key not in config:
-            raise ValueError(f"suite config missing {key!r}")
+        if not isinstance(config.get(key), list) or not config[key]:
+            raise ValueError(f"suite config needs {key!r} as a non-empty list")
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
+    if len(set(config["algorithms"])) < len(config["algorithms"]):
+        raise ValueError(f"repeated algorithm in {config['algorithms']!r}")
     for spec in config["instances"]:
         try:
             _spec_values(spec)

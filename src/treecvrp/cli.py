@@ -73,8 +73,8 @@ def main():
 
 @main.command()
 @click.option("--shape", type=click.Choice(SHAPES), default="random")
-@click.option("-n", "n", type=int, required=True)
-@click.option("-q", "--capacity", "capacity", type=int, required=True)
+@click.option("-n", "n", type=click.IntRange(min=2), required=True)
+@click.option("-q", "--capacity", type=click.IntRange(min=1), required=True)
 @click.option("--demand-model", type=click.Choice(DEMAND_MODELS),
               default="unit")
 @click.option("--seed", type=int, default=0)

@@ -2,21 +2,21 @@
 
 Both solvers sweep the tree bottom-up. A node's table maps a profile (the
 sorted multiset of sizes of the partial tours entering its subtree) to its
-cheapest cost and a back-pointer to how that cost was reached. One fold,
-``merge_child_table``, builds it: every child tour is either kept separate or
-merged into one distinct accumulated tour. The node's own tokens are one more
-child, folded last: a zero-cost table of every split of them, plus 0..pad_cap
-pads, into tours of at most Q. Then the solver's node filter (structure check
-or size rounding) runs once on the node's final profile, and finally the
-parent edge is charged once per tour.
+cheapest cost and a back-pointer to how that cost was reached. A node starts
+from its first child's table; one fold, ``merge_child_table``, adds the
+others, each child tour kept separate or merged into one distinct accumulated
+tour, then the node's own tokens (a leaf's only table): a zero-cost table of
+every split of them, plus 0..pad_cap pads, into tours of at most Q. Then the
+solver's node filter (structure check or size rounding) runs once on the
+node's final profile, and finally the parent edge is charged once per tour.
 
-A table entry is ``(cost, back)``. ``back`` points at where the entry came
-from: ``None`` (the empty profile), ``(v, d)`` (node v's d tokens split as the
-key), ``(acc_key, acc_back, child_key, child_back, cur)`` for the pair whose
-fold first reached the key at the least cost, or the unrounded ``(key, back)``
-of a bicriteria rounding that moved the key. ``cur`` is the pair's first
-assignment of the key's sizes: the accumulated tours' sizes after the fold, in
-slot order, then the new tours. ``_rebuild`` reads it to join tours.
+A table entry is ``(cost, back)``. ``back`` is ``(v, d)`` for node v's d
+tokens split as the key, ``(acc_key, acc_back, child_key, child_back, cur)``
+for the pair whose fold first reached the key at the least cost, or the
+unrounded ``(key, back)`` of a bicriteria rounding that moved the key.
+``cur`` is the pair's first assignment of the key's sizes (the accumulated
+tours' sizes after the fold, in slot order, then the new tours), which
+``_rebuild`` reads to join tours.
 
 The depot is not folded. It has no parent edge and no bucket constraint, so
 merging tours there never changes the cost: the root entry is the sum of each
@@ -54,7 +54,15 @@ need(e) times at least; and a fold never lowers the tour count at a node
 (each child tour keeps a tour of its own, and tours of one subtree stay
 distinct above it), so the edges from v up to t are crossed at least m
 times. A fold cuts a state, or a branch of its enumeration, as soon as
-lb > UB.
+lb > UB; a leaf cuts the states of its own-token table the same way.
+
+A node's first child c is not folded: its table met the state budget at c,
+and each charged entry already meets the cut. In ``_Bound``'s terms, one of
+m tours met cost_c + extra_c[m] <= slack_c at the end of c (the filter and
+charge keep m); after ``folded(c)`` at c's parent v, slack_v = slack_c +
+2*w(c)*need(c) and extra_c[m] = 2*w(c)*max(0, m - need(c)) + extra_v[m], so
+its charged cost has cost_c + 2*w(c)*m + extra_v[m] = cost_c + extra_c[m] +
+2*w(c)*min(m, need(c)) <= slack_v.
 
 ``solve_bicriteria`` runs the same cut with need(e) = ceil(D_e/L), where L
 bounds the true tokens of any tour it builds. Let r be the largest
@@ -228,10 +236,9 @@ class _Bound:
         return False
 
 
-def merge_child_table(acc: Table, child: Table, capacity: int,
-                      budget: int = 10 ** 9, node: int = -1,
-                      bound: _Bound | None = None) -> Table:
-    """Fold one child's table into the accumulated sweep table.
+def merge_child_table(acc: Table, child: Table, capacity: int, budget: int,
+                      node: int, bound: _Bound) -> Table:
+    """Fold one child's table into node ``node``'s accumulated table.
 
     Each child tour either stays a separate tour or merges into one distinct
     accumulated tour (sizes add, capped at the capacity). This is the B-table
@@ -239,17 +246,9 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
     pair and the assignment that first reached its key. It is the only fold:
     the node's own tokens and pads are its last child, the table of
     ``_own_tokens``, and each existing tour takes at most one of their parts.
-    With a ``bound``, a pair and every branch of its enumeration are dropped
-    once they hold more tours than the bound allows.
+    A pair and every branch of its enumeration are dropped once they hold
+    more tours than ``bound`` allows.
     """
-    if len(acc) == 1 and () in acc:
-        # no tour to merge into: each child entry passes through, as the
-        # enumeration below would yield it
-        c_acc = acc[()][0]
-        out = {k: (c_acc + c, b) for k, (c, b) in child.items()
-               if bound is None or bound.keeps(c_acc + c, len(k))}
-        _check_budget(out, budget, node)
-        return out
     out: Table = {}
 
     def assign(i: int, cur: tuple, used: int, prev: int):
@@ -283,11 +282,9 @@ def merge_child_table(acc: Table, child: Table, capacity: int,
             for k_ch, (c_ch, b_ch) in child.items():
                 base, m = c_acc + c_ch, len(k_ch)
                 # the result holds max(n, m) tours to their sum
-                most = n + m
-                if bound is not None:
-                    if not bound.keeps(base, max(n, m)):
-                        continue
-                    most = bound.most_tours(base)
+                if not bound.keeps(base, max(n, m)):
+                    continue
+                most = bound.most_tours(base)
                 assign(0, k_acc, 0, 0)
                 _check_budget(out, budget, node)
     finally:
@@ -340,14 +337,12 @@ def _rebuild(key: tuple, back) -> list:
     while todo:
         key, back = todo.pop()
         order.append((key, back))
-        if back is not None and type(back[0]) is not int:
+        if type(back[0]) is not int:
             # a pair's two entries, or a rounding's unrounded entry
             todo += [back[:2], back[2:4]] if len(back) == 5 else [back]
     done = []
     for key, back in reversed(order):
-        if back is None:
-            done.append([])
-        elif type(back[0]) is int:  # own tokens, largest part first
+        if type(back[0]) is int:  # own tokens, largest part first
             v, left = back
             tours = []
             for p in reversed(key):
@@ -386,7 +381,7 @@ def _sweep(inst: TreeInstance, node_filter, bound: _Bound, budget: int,
     Each depot subtree is swept on its own, in deepening rounds of ``bound``,
     and the run stops at the first one, in child order, that fails: its error
     is raised and no later subtree is swept. ``states`` counts the tables
-    after each child fold and after the filter in the last round of each
+    after each child and after the filter in the last round of each
     subtree; ``rounds`` counts the subtree sweeps.
     """
     cost, tours = 0, []
@@ -418,7 +413,8 @@ def _sweep(inst: TreeInstance, node_filter, bound: _Bound, budget: int,
 
 def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
                    budget: int, bound: _Bound):
-    """One round over one depot subtree, ``nodes`` children first.
+    """One round over one depot subtree, ``nodes`` children first; a node
+    starts from its first child's charged table, uncut (module docstring).
 
     Returns the charged table of the subtree root (the last node) and the
     number of states kept, or None if a table empties after ``bound`` cut
@@ -429,15 +425,18 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
     states = 0
     for v in nodes:
         bound.enter(v)
-        acc: Table = {(): (0, None)}
+        acc = None
         for u in inst.children[v]:
             bound.folded(u)
-            acc = merge_child_table(acc, table.pop(u), inst.capacity,
-                                    budget, v, bound)
+            acc = table.pop(u) if acc is None else merge_child_table(
+                acc, table.pop(u), inst.capacity, budget, v, bound)
             states += len(acc)
-        acc = merge_child_table(
-            acc, _own_tokens(v, inst.demand[v], inst.capacity, bound.pad_cap),
-            inst.capacity, budget, v, bound)
+        own = _own_tokens(v, inst.demand[v], inst.capacity, bound.pad_cap)
+        if acc is None:
+            acc = {k: e for k, e in own.items() if bound.keeps(e[0], len(k))}
+            _check_budget(acc, budget, v)
+        else:
+            acc = merge_child_table(acc, own, inst.capacity, budget, v, bound)
         acc = node_filter(acc)
         states += len(acc)
         if not acc:
@@ -505,10 +504,8 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
 
     States that cannot beat the deepening bound at the load cap L of the
     module docstring are cut. That never changes ``dp_cost``; the witness
-    may be another run of equal cost. If ``stats`` is given,
-    ``stats["states"]`` counts the states kept in the last round of each
-    depot subtree (after each child fold and after the rounding) and
-    ``stats["rounds"]`` counts the subtree sweeps.
+    may be another run of equal cost. If ``stats`` is given, it gets the
+    ``"states"`` and ``"rounds"`` that ``_sweep`` counts.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -550,10 +547,8 @@ def solve_structured(inst: TreeInstance,
 
     States that cannot beat the deepening bound of the module docstring are
     cut, which changes neither the cost nor the solution. If ``stats`` is
-    given, ``stats["states"]`` counts the states kept in the last round of
-    each depot subtree (after each child fold and after the node filter), a
-    subset of the unpruned DP's, and ``stats["rounds"]`` counts the subtree
-    sweeps, at least one per depot child.
+    given, it gets the ``"states"`` (a subset of the unpruned DP's) and the
+    ``"rounds"`` (at least one per depot child) that ``_sweep`` counts.
     """
     if params is None:
         params = DPParams.generous(inst, eps)

@@ -14,6 +14,7 @@ SHAPES = ("random", "star", "path", "binary", "parallel-paths")
 DEMAND_MODELS = ("unit", "uniform", "heavy")
 
 MAX_PARALLEL_PATHS = 12
+MAX_WEIGHT = 9
 
 
 def check_args(shape: str, n: int, capacity: int, demand_model: str) -> None:
@@ -28,14 +29,14 @@ def check_args(shape: str, n: int, capacity: int, demand_model: str) -> None:
 
 
 def generate(shape: str, n: int, capacity: int, demand_model: str = "unit",
-             seed: int = 0, max_weight: int = 9) -> TreeInstance:
+             seed: int = 0) -> TreeInstance:
     check_args(shape, n, capacity, demand_model)
     rng = random.Random((shape, n, capacity, demand_model, seed).__repr__())
     parent = _shape_parents(shape, n, rng)
     if shape == "star":
         weight = (0,) + (1,) * (n - 1)  # the canonical unit star
     else:
-        weight = (0,) + tuple(rng.randint(1, max_weight) for _ in range(n - 1))
+        weight = (0,) + tuple(rng.randint(1, MAX_WEIGHT) for _ in range(n - 1))
     demand = _demands(demand_model, n, capacity, rng)
     return TreeInstance(tuple(parent), weight, demand, capacity)
 

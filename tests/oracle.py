@@ -22,7 +22,9 @@ leaf. ``treecvrp.height.decompose_paths`` must equal it.
 
 ``Unbounded`` is the deepening bound at UB = infinity, which cuts nothing:
 ``treecvrp.dp._sweep`` run with it is the unpruned profile DP that the
-bound-pruned solvers must agree with.
+bound-pruned solvers must agree with. ``NoCut`` is a fold bound that keeps
+every state, for calling ``treecvrp.dp.merge_child_table`` on tables built by
+hand.
 """
 
 import math
@@ -214,3 +216,14 @@ class Unbounded(_Bound):
     def start(self, t):
         super().start(t)
         self.ub = math.inf
+
+
+class NoCut:
+    """A fold bound that cuts nothing: every state is kept, at any number of
+    tours."""
+
+    def keeps(self, cost, tours):
+        return True
+
+    def most_tours(self, cost):
+        return math.inf

@@ -25,7 +25,7 @@ from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
-from oracle import solve_exact_naive, solve_residual
+from oracle import NoCut, solve_exact_naive, solve_residual
 
 EPS = 0.5
 
@@ -138,13 +138,13 @@ def test_criterion_5_height_reduction_sandwich():
 
 def _fold(o_v, z1, z2, capacity):
     """Profiles the DP makes from child profiles z1, z2 and o_v node tokens:
-    the tokens' table is folded last, as the sweep does."""
-    acc = {(): (0, None)}
-    for z in (z1, z2):
+    as the sweep does, it starts from z1, folds in z2 and then the tokens'
+    table."""
+    acc = {z1: (0, None)}
+    for table in ({z2: (0, None)}, _own_tokens(1, o_v, capacity, 0)):
         # the fold reads keys and costs; no witness is rebuilt here
-        acc = merge_child_table(acc, {z: (0, None)}, capacity)
-    return set(merge_child_table(acc, _own_tokens(1, o_v, capacity, 0),
-                                 capacity))
+        acc = merge_child_table(acc, table, capacity, 10 ** 9, 1, NoCut())
+    return set(acc)
 
 
 def test_criterion_6_consistency_vs_brute_force():

@@ -160,6 +160,27 @@ def test_load_config_validates():
         load_config('{"instances": [], "algorithms": ["simplex"]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "suite config must be an object, got 5"),
+    ("null", "suite config must be an object, got None"),
+    ('["itp"]', "suite config must be an object, got ['itp']"),
+    ('{"instances": 5, "algorithms": ["itp"]}',
+     "suite config needs 'instances' as a non-empty list"),
+    ('{"instances": [], "algorithms": ["itp"]}',
+     "suite config needs 'instances' as a non-empty list"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}], "algorithms": "itp"}',
+     "suite config needs 'algorithms' as a non-empty list"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}], "algorithms": []}',
+     "suite config needs 'algorithms' as a non-empty list"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
+     ' "algorithms": ["itp", "exact", "itp"]}',
+     "repeated algorithm in ['itp', 'exact', 'itp']"),
+])
+def test_load_config_rejects_bad_configs(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(text)
+
+
 @pytest.mark.parametrize("spec, text", [
     ({"shape": "star", "Q": 2}, "missing 'n'"),
     ({"n": 4, "Q": 2}, "missing 'shape'"),

@@ -26,6 +26,13 @@ def test_gen_deterministic():
     assert inst.n == 4 and inst.capacity == 2
 
 
+@pytest.mark.parametrize("n, q, option", [("1", "3", "-n"), ("5", "0", "-q")])
+def test_gen_too_small_is_usage_error(n, q, option):
+    r = run("gen", "-n", n, "-q", q)
+    assert r.exit_code == 2, r.output
+    assert f"Invalid value for '{option}'" in r.output
+
+
 def test_gen_solve_verify_pipeline(tmp_path):
     inst_file = tmp_path / "inst.txt"
     sol_file = tmp_path / "sol.txt"
@@ -351,6 +358,23 @@ def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
     r = run("bench", str(config))
     assert r.exit_code == 2, r.output
     assert text in r.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "suite config must be an object"),
+    ('{"instances": 5, "algorithms": ["itp"]}',
+     "needs 'instances' as a non-empty list"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}], "algorithms": []}',
+     "needs 'algorithms' as a non-empty list"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
+     ' "algorithms": ["itp", "itp"]}', "repeated algorithm"),
+])
+def test_bench_bad_config_is_usage_error(tmp_path, text, message):
+    config = tmp_path / "suite.json"
+    config.write_text(text)
+    r = run("bench", str(config))
+    assert r.exit_code == 2, r.output
+    assert message in r.output
 
 
 def test_negative_pad_cap_is_usage_error(tmp_path):

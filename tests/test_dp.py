@@ -21,7 +21,7 @@ from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
-from oracle import Unbounded, solve_residual
+from oracle import NoCut, Unbounded, solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -521,6 +521,64 @@ class TestBoundPruning:
                     failed += isinstance(pruned, int)
         assert failed > 0
 
+    def test_first_child_passes_the_cut(self):
+        # a node starts from its first child's charged table with no cut:
+        # after folded(first child), every entry must already be kept, in
+        # every round of both solvers, with and without pads
+        class Checked(_Bound):
+            # keeps each node's filtered table; the sweep filters node v
+            # after enter(v), so ``node`` names it
+            passed = 0
+
+            def __init__(self, inst, pad_cap, load_cap, node_filter):
+                super().__init__(inst, pad_cap, load_cap)
+                self.node_filter, self.tables = node_filter, {}
+
+            def enter(self, v):
+                super().enter(v)
+                self.node = v
+
+            def filter(self, acc):
+                self.tables[self.node] = self.node_filter(acc)
+                return self.tables[self.node]
+
+            def folded(self, u):
+                super().folded(u)
+                if u != self.inst.children[self.node][0]:
+                    return
+                over = self.over
+                for key, (cost, _) in charge_edge(
+                        self.tables[u], self.inst.weight[u]).items():
+                    assert self.keeps(cost, len(key))
+                assert self.over == over
+                Checked.passed += 1
+
+        family = ([generate(shape, 16, q, model, seed)
+                   for shape in ("random", "binary", "parallel-paths")
+                   for model in ("unit", "uniform", "heavy")
+                   for q, seed in ((2, 0), (3, 1), (5, 2))]
+                  + [random_instance(seed, unit_demand=False, max_tokens=8)
+                     for seed in range(20)]
+                  + [hub_tree(seed, 2, 5, (1, 3), 14) for seed in range(10)])
+        deepened = 0
+        for inst in family:
+            sigmas = [thresholds(inst.capacity, ep).sigma for ep in
+                      (default_eps_prime(inst, 0.5), Fraction(1, 4))]
+            runs = [(_structure_filter(params), pad_cap, inst.capacity)
+                    for pad_cap in (0, 1)
+                    for params in (DPParams.generous(inst),
+                                   DPParams.defaults(inst, 0.5, pad_cap))]
+            runs += [(_rounding_filter(sigma), 0, _load_cap(inst, sigma))
+                     for sigma in sigmas]
+            for node_filter, pad_cap, load_cap in runs:
+                bound = Checked(inst, pad_cap, load_cap, node_filter)
+                try:
+                    _sweep(inst, bound.filter, bound, 10 ** 4)
+                except (NoStructuredSolutionError, ResourceLimitError):
+                    pass
+                deepened += bound.rounds > len(inst.children[0])
+        assert Checked.passed > 1000 and deepened > 5
+
     def test_path_term_is_its_definition(self):
         # extra[m] is the direct sum of 2*w(e)*max(0, m - need(e)) over the
         # edges e from v up to its depot child, at integer and Fraction
@@ -580,10 +638,10 @@ class TestTableHelpers:
     def test_merge_respects_capacity(self):
         acc = {(2,): (0, (5, 2))}
         child = {(3,): (0, (6, 3))}
-        merged = merge_child_table(acc, child, capacity=4)
+        merged = merge_child_table(acc, child, 4, 10 ** 9, 1, NoCut())
         # 2+3 > 4: only the "keep separate" outcome exists
         assert set(merged) == {(2, 3)}
-        roomy = merge_child_table(acc, child, capacity=6)
+        roomy = merge_child_table(acc, child, 6, 10 ** 9, 1, NoCut())
         assert set(roomy) == {(2, 3), (5,)}
         assert witnesses(roomy)[(5,)] == (0, [(5, ((5, 2), (6, 3)))])
 
@@ -592,7 +650,7 @@ class TestTableHelpers:
         # merge leaves nothing for the garbage collector, whether bounded,
         # unbounded or stopped by the state budget
         inst = TreeInstance((-1, 0, 1, 1), (0, 3, 1, 2), (0, 1, 2, 2), 3)
-        acc = merge_child_table({(): (0, None)}, _own_tokens(2, 2, 3, 0), 3)
+        acc = _own_tokens(2, 2, 3, 0)
         child = _own_tokens(3, 2, 3, 0)
         bound = _Bound(inst, 0, inst.capacity)
         bound.start(1)
@@ -602,12 +660,13 @@ class TestTableHelpers:
         gc.collect()
         gc.disable()
         try:
-            assert merge_child_table(acc, child, 3, bound=bound)
-            merged = merge_child_table(acc, child, 3)
+            assert merge_child_table(acc, child, 3, 10 ** 9, 1, bound)
+            merged = merge_child_table(acc, child, 3, 10 ** 9, 1, NoCut())
             assert len(acc) > 1 and len(merged) > 1
-            assert merge_child_table(merged, _own_tokens(1, 1, 3, 0), 3)
+            assert merge_child_table(merged, _own_tokens(1, 1, 3, 0), 3,
+                                     10 ** 9, 1, NoCut())
             try:
-                merge_child_table(acc, child, 3, budget=1, node=1)
+                merge_child_table(acc, child, 3, 1, 1, NoCut())
             except ResourceLimitError:
                 pass
             else:
@@ -617,8 +676,8 @@ class TestTableHelpers:
             gc.enable()
 
     def test_own_tokens_spawn_new_tours(self):
-        out = merge_child_table({(): (0, None)}, _own_tokens(1, 3, 2, 0),
-                                capacity=2)
+        out = merge_child_table({(): (0, None)}, _own_tokens(1, 3, 2, 0), 2,
+                                10 ** 9, 1, NoCut())
         assert set(out) == {(1, 2), (1, 1, 1)}
 
     def test_own_tokens_join_existing_tours(self):
@@ -626,7 +685,8 @@ class TestTableHelpers:
         # tokens, or 1 while the other starts a new tour; (1, 2) keeps its
         # first witness
         acc = {(1,): (5, (2, 1))}
-        out = merge_child_table(acc, _own_tokens(1, 2, 3, 0), capacity=3)
+        out = merge_child_table(acc, _own_tokens(1, 2, 3, 0), 3, 10 ** 9, 1,
+                                NoCut())
         assert witnesses(out) == {
             (3,): (5, [(3, ((2, 1), (1, 2)))]),
             (1, 2): (5, [(1, ((2, 1),)), (2, ((1, 2),))]),
@@ -638,7 +698,8 @@ class TestTableHelpers:
         # and the solution keeps only the physical pickup
         inst = TreeInstance((-1, 0, 1), (0, 1, 1), (0, 0, 1), 3)
         table = {(1,): (0, (2, 1))}
-        out = merge_child_table(table, _own_tokens(1, 0, 3, 2), capacity=3)
+        out = merge_child_table(table, _own_tokens(1, 0, 3, 2), 3, 10 ** 9, 1,
+                                NoCut())
         assert (3,) in out
         (tour,) = _rebuild((3,), out[(3,)][1])
         assert tour == (3, ((2, 1),))
@@ -652,32 +713,6 @@ class TestTableHelpers:
         assert all(cost == 0 for cost, _ in table.values())
         # 3 tokens and 2 pads as (1, 4): the size-4 tour holds the 3 tokens
         assert witnesses(table)[(1, 4)] == (0, [(1, ()), (4, ((4, 3),))])
-
-    def test_empty_profile_shortcut_equals_enumeration(self):
-        # folding into the single empty profile passes the child through; a
-        # guard entry (one full tour no child tour fits into, at a cost that
-        # never wins a shared key) sends the same fold through the general
-        # enumeration, whose entries for the child's keys must agree
-        rng = random.Random(3)
-        for capacity in (2, 3, 5):
-            for _ in range(20):
-                child = {}
-                for _ in range(rng.randint(1, 6)):
-                    sizes = [rng.randint(1, capacity)
-                             for _ in range(rng.randint(0, 4))]
-                    rng.shuffle(sizes)
-                    key, back = entry_of([(rng.randint(1, 9), s)
-                                          for s in sizes])
-                    child.setdefault(key, (rng.randint(0, 20), back))
-                short = merge_child_table({(): (7, None)}, child, capacity)
-                guard = (capacity,)
-                full = merge_child_table(
-                    {(): (7, None), guard: (10 ** 6, (0, capacity))},
-                    child, capacity)
-                full = witnesses(full)
-                assert witnesses(short) == {k: full[k]
-                                                      for k in child}
-                assert list(short) == list(child)
 
 
 class TestRebuild:
@@ -710,7 +745,7 @@ class TestRebuild:
                              for j in range(rng.randint(1, 4))])
                         table.setdefault(key, (rng.randint(0, 9), back))
                 for key, (cost, back) in merge_child_table(
-                        acc, child, capacity).items():
+                        acc, child, capacity, 10 ** 9, 1, NoCut()).items():
                     k_acc, b_acc, k_ch, b_ch, _ = back
                     assert cost == acc[k_acc][0] + child[k_ch][0]
                     left = _rebuild(k_acc, b_acc) + _rebuild(k_ch, b_ch)
@@ -751,10 +786,11 @@ class TestRebuild:
 
 def entry_of(tours):
     """A table entry (key, back) whose rebuilt tours are ``tours``, given as
-    (node, size) pairs: each tour is one node's tokens, folded in as a tour
-    of its own."""
-    key, back = (), None
-    for v, size in tours:
+    (node, size) pairs: each tour is one node's tokens, the first as a node's
+    own-token entry and each other folded in as a tour of its own."""
+    (v, size), *rest = tours
+    key, back = (size,), (v, size)
+    for v, size in rest:
         cur = key + (size,)
         key, back = tuple(sorted(cur)), (key, back, (size,), (v, size), cur)
     return key, back
