@@ -71,20 +71,30 @@ def load_config(text: str) -> dict:
             raise ValueError(f"unknown algorithm {algo!r}")
     if len(set(config["algorithms"])) < len(config["algorithms"]):
         raise ValueError(f"repeated algorithm in {config['algorithms']!r}")
+    seen = set()
     for spec in config["instances"]:
         try:
-            _spec_values(spec)
+            *args, seeds = _spec_values(spec)
         except KeyError as exc:
             raise ValueError(f"instance spec {spec!r} missing {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad instance spec {spec!r}: {exc}") from None
+        for seed in seeds:
+            key = (*args, seed)
+            if key in seen:
+                raise ValueError(
+                    "repeated instance (shape, n, Q, demand_model, seed) "
+                    f"{key!r}")
+            seen.add(key)
     _suite_eps(config)
     return config
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a bool and a float that is not integral."""
-    if isinstance(value, bool) or (isinstance(value, float) and value % 1):
+    """``int(value)``, refusing a bool, a string and a float that is not
+    integral."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and value % 1):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 

@@ -37,19 +37,20 @@ def decompose_paths(inst: TreeInstance) -> PathDecomposition:
 
     Each node continues into its child with the largest subtree, the smallest
     id on ties. In the heavy-first preorder a heavy path is a run of
-    consecutive positions with equal ``head``: a node u with ``head[u] == u``
-    starts one, attached at ``parent[u]`` one level below that node's level
-    (the depot's path is level 1), and each later node of the run extends it.
+    consecutive positions with one position-indexed ``head``: a position p
+    with ``head[p] == p`` starts one, attached at its node's parent one
+    level below that node's level (the depot's path is level 1), and each
+    later position of the run extends it.
     """
-    pos, head = inst.preorder
+    pos, head, _, _ = inst.preorder
     parent = inst.parent
     order = [0] * inst.n
     for v, p in enumerate(pos):
         order[p] = v
     node_level = [0] * inst.n
     levels: list[list[list[int]]] = []
-    for v in order:
-        if head[v] == v:
+    for p, v in enumerate(order):
+        if head[p] == p:
             if v:
                 attach = parent[v]
                 lvl = node_level[attach] + 1

@@ -40,8 +40,10 @@ class TreeInstance:
     It builds none of the cached tables. The first table asked for walks the
     tree once, into ``topo_order`` (an ``array('i')``, 4n bytes), and every
     per-node table is derived from that one walk. ``preorder`` (O(n), built
-    on the first costing) lets ``solution_cost`` price a solution's tours in
-    one loop over one LCA walk, O(P log n) for P pickups.
+    on the first costing) maps each node to its heavy-first preorder
+    position and indexes the heavy-path tables by position, so pricing a
+    solution's tours sorts and compares plain ints in one loop over one LCA
+    walk, O(P log n) for P pickups.
     """
 
     parent: tuple[int, ...]
@@ -127,30 +129,45 @@ class TreeInstance:
         return array("i", self.subtree(0))
 
     @cached_property
-    def preorder(self) -> tuple[array, array]:
-        """Each node's preorder position and its heavy-path head.
+    def preorder(self) -> tuple[array, array, array, list[Weight]]:
+        """Heavy-path tables: ``(pos, head, jump, dist)``.
 
-        One DFS visits the heavy child (largest subtree) of every node right
-        after the node, so each heavy path is contiguous in preorder and any
-        root path crosses O(log n) heavy paths.
+        One DFS walks each heavy path down from its head, into the child
+        with the largest subtree (smallest id on ties), and stacks the
+        other children as heads of later paths. So each heavy path is a run
+        of consecutive preorder positions, and any root path crosses
+        O(log n) heavy paths. ``pos[v]`` is node v's position. The other
+        three tables are indexed by position p: ``head[p]`` is the position
+        of the head of p's path (``head[p] == p`` starts a path),
+        ``jump[p]`` the position of that head's parent (-1 on the depot's
+        path) and ``dist[p]`` the ``dist_root`` of the node at p. Three
+        ``array('i')`` of 4n bytes and one list.
         """
         size, children = self.subtree_sizes(), self.children
-        pos, head = array("i", [0]) * self.n, array("i", [0]) * self.n
+        parent, dist_root = self.parent, self.dist_root
+        n = self.n
+        pos, head = array("i", [0]) * n, array("i", [0]) * n
+        jump = array("i", [-1]) * n
+        dist: list[Weight] = [0] * n
         stack, t = [0], 0
         while stack:
+            # u heads a heavy path: walk it down, pushing the light children
             u = stack.pop()
-            pos[u] = t
-            t += 1
-            kids = children[u]
-            if kids:
-                heavy = max(kids, key=size.__getitem__)
+            start, up = t, (pos[parent[u]] if u else -1)
+            while True:
+                pos[u] = t
+                dist[t] = dist_root[u]
+                head[t] = start
+                jump[t] = up
+                t += 1
+                kids = children[u]
+                if not kids:
+                    break
+                u = max(kids, key=size.__getitem__)
                 for c in kids:
-                    if c != heavy:
-                        head[c] = c
+                    if c != u:
                         stack.append(c)
-                head[heavy] = head[u]
-                stack.append(heavy)
-        return pos, head
+        return pos, head, jump, dist
 
     @property
     def height(self) -> int:
@@ -247,58 +264,65 @@ class Solution:
         return tuple(sorted(t.pickups for t in self.tours))
 
 
-def _sets_cost(inst: TreeInstance, node_lists: Iterable[list[int]]) -> Weight:
+def _positions_cost(inst: TreeInstance,
+                    position_lists: Iterable[list[int]]) -> Weight:
     """2x the summed weight of each list's union of root paths.
 
-    With a list sorted by preorder as v_1..v_k, its union weighs
-    ``sum dist_root(v_i) - sum_{i>1} dist_root(lca(v_{i-1}, v_i))`` (the
-    virtual-tree identity). Each LCA takes O(log n) heavy-path jumps over
-    ``inst.preorder``. Each list is sorted in place.
+    A list holds the preorder positions (``inst.preorder``'s ``pos``) of its
+    nodes. Sorted as p_1 < ... < p_k, its union weighs
+    ``sum dist[p_i] - sum_{i>1} dist[lca(p_{i-1}, p_i)]`` (the virtual-tree
+    identity). An LCA jumps the position whose path head lies later to
+    ``jump`` until both share a head, then is the smaller position, in
+    O(log n) jumps. Each list is sorted in place.
     """
-    pos, head = inst.preorder
-    parent, dist = inst.parent, inst.dist_root
-    key = pos.__getitem__
+    _, head, jump, dist = inst.preorder
     total = 0
-    for order in node_lists:
+    for order in position_lists:
         if len(order) < 2:
             if order:
                 total += dist[order[0]]
             continue
-        order.sort(key=key)
-        total += dist[order[0]]
-        for a, b in zip(order, order[1:]):
+        order.sort()
+        prev = order[0]
+        total += dist[prev]
+        for b in order[1:]:
+            a, prev = prev, b
             total += dist[b]
             ha, hb = head[a], head[b]
             while ha != hb:
-                if pos[ha] > pos[hb]:
-                    a = parent[ha]
+                if ha > hb:
+                    a = jump[a]
                     ha = head[a]
                 else:
-                    b = parent[hb]
+                    b = jump[b]
                     hb = head[b]
-            total -= dist[a if pos[a] < pos[b] else b]
+            total -= dist[a if a < b else b]
     return _as_weight(2 * total)
 
 
 def tour_cost(inst: TreeInstance, tour: Tour) -> Weight:
     """2x the weight of the minimal subtree connecting depot and pickup nodes."""
-    return _sets_cost(inst, ([v for v, _ in tour.pickups],))
+    pos = inst.preorder[0]
+    return _positions_cost(inst, ([pos[v] for v, _ in tour.pickups],))
 
 
 def pickup_set_cost(inst: TreeInstance, nodes: Iterable[int]) -> Weight:
     """2x the weight of the union of the nodes' root paths, in O(k log n).
 
-    Priced by the LCA walk that ``solution_cost`` runs over all of a
-    solution's tours in one loop, O(P log n) for P pickups. It walks a copy
-    of ``nodes``, so the caller's order is kept. A repeated node or the
-    depot adds 0.
+    The nodes' preorder positions go through the heavy-path LCA walk that
+    ``solution_cost`` runs over all of a solution's tours in one loop,
+    O(P log n) for P pickups; the caller's ``nodes`` are only read. A
+    repeated node or the depot adds 0.
     """
-    return _sets_cost(inst, (list(nodes),))
+    pos = inst.preorder[0]
+    return _positions_cost(inst, ([pos[v] for v in nodes],))
 
 
 def solution_cost(inst: TreeInstance, tours: Iterable[Tour]) -> Weight:
     """Sum of the tours' costs, in one LCA walk: O(P log n) for P pickups."""
-    return _sets_cost(inst, ([v for v, _ in t.pickups] for t in tours))
+    pos = inst.preorder[0]
+    return _positions_cost(inst, ([pos[v] for v, _ in t.pickups]
+                                  for t in tours))
 
 
 def normalize_demands(inst: TreeInstance) -> tuple[TreeInstance, Solution]:

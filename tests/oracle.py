@@ -20,6 +20,11 @@ list entry per token, one dict per block, and every block priced by
 each path's top it steps into the child with the largest subtree until a
 leaf. ``treecvrp.height.decompose_paths`` must equal it.
 
+``check_feasible_reference`` is the feasibility check priced by node lists:
+it sorts each tour's nodes by preorder position and walks a node-indexed
+heavy-path ``head`` (``heavy_paths_reference``) for each LCA.
+``treecvrp.verify.check_feasible`` must report exactly what it reports.
+
 ``Unbounded`` is the deepening bound at UB = infinity, which cuts nothing:
 ``treecvrp.dp._sweep`` run with it is the unpruned profile DP that the
 bound-pruned solvers must agree with. ``NoCut`` is a fold bound that keeps
@@ -28,11 +33,13 @@ hand.
 """
 
 import math
+from array import array
 
 from treecvrp.dp import _Bound
 from treecvrp.exact import OracleSizeError
 from treecvrp.height import PathDecomposition
-from treecvrp.instance import Solution, Tour, pickup_set_cost
+from treecvrp.instance import Solution, Tour, _as_weight, pickup_set_cost
+from treecvrp.verify import FeasibilityReport
 
 
 def groups_from(inst, residual, pivot):
@@ -208,6 +215,89 @@ def decompose_reference(inst):
                     pending.append((c, u, lvl + 1))
     return PathDecomposition(
         tuple(tuple(sorted(lv)) for lv in levels), tuple(node_level))
+
+
+def heavy_paths_reference(inst):
+    """Node-indexed ``(pos, head)``: each node's heavy-first preorder
+    position and the node heading its heavy path."""
+    size, children = inst.subtree_sizes(), inst.children
+    pos, head = array("i", [0]) * inst.n, array("i", [0]) * inst.n
+    stack, t = [0], 0
+    while stack:
+        u = stack.pop()
+        pos[u] = t
+        t += 1
+        kids = children[u]
+        if kids:
+            heavy = max(kids, key=size.__getitem__)
+            for c in kids:
+                if c != heavy:
+                    head[c] = c
+                    stack.append(c)
+            head[heavy] = head[u]
+            stack.append(heavy)
+    return pos, head
+
+
+def sets_cost_reference(inst, node_lists):
+    """2x the summed weight of each node list's union of root paths, by the
+    virtual-tree identity over the nodes sorted by preorder position."""
+    pos, head = heavy_paths_reference(inst)
+    parent, dist = inst.parent, inst.dist_root
+    key = pos.__getitem__
+    total = 0
+    for order in node_lists:
+        if len(order) < 2:
+            if order:
+                total += dist[order[0]]
+            continue
+        order.sort(key=key)
+        total += dist[order[0]]
+        for a, b in zip(order, order[1:]):
+            total += dist[b]
+            ha, hb = head[a], head[b]
+            while ha != hb:
+                if pos[ha] > pos[hb]:
+                    a = parent[ha]
+                    ha = head[a]
+                else:
+                    b = parent[hb]
+                    hb = head[b]
+            total -= dist[a if pos[a] < pos[b] else b]
+    return _as_weight(2 * total)
+
+
+def check_feasible_reference(inst, sol):
+    """Loads and coverage in one pass, then a second pass that prices the
+    tours' node lists; the same violation texts in the same order."""
+    violations = []
+    q, n = inst.capacity, inst.n
+    covered = [0] * n
+    unknown_node = False
+    for i, t in enumerate(sol.tours):
+        first = len(violations)
+        load = 0
+        for v, c in t.pickups:
+            load += c
+            if 0 <= v < n:
+                covered[v] += c
+            else:
+                unknown_node = True
+                violations.append(f"tour {i}: unknown node {v}")
+        if load > q:
+            violations.insert(
+                first, f"tour {i}: load {load} exceeds capacity {q}")
+    if unknown_node:
+        return FeasibilityReport(False, 0, tuple(violations))
+    for v, (got, want) in enumerate(zip(covered, inst.demand)):
+        if got != want:
+            violations.append(f"node {v}: covered {got} tokens, demand is {want}")
+    cost = sets_cost_reference(inst, ([v for v, _ in t.pickups]
+                                      for t in sol.tours))
+    if cost != sol.total_cost:
+        violations.append(
+            f"declared cost {sol.total_cost} != recomputed {cost}")
+    return FeasibilityReport(not violations, cost, tuple(violations))
 
 
 class Unbounded(_Bound):

@@ -189,9 +189,9 @@ def test_load_config_rejects_bad_configs(text, message):
     ({"shape": "star", "n": 1, "Q": 2}, "need n >= 2 and Q >= 1"),
     ({"shape": "star", "n": 4, "Q": 2, "demand_model": "flat"},
      "unknown demand model 'flat'"),
-    ({"shape": "star", "n": "four", "Q": 2}, "invalid literal"),
+    ({"shape": "star", "n": "four", "Q": 2}, "not an integer: 'four'"),
     ({"shape": "star", "n": None, "Q": 2}, "bad instance spec"),
-    ({"shape": "star", "n": 4, "Q": 2, "seeds": ["x"]}, "invalid literal"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": ["x"]}, "not an integer: 'x'"),
     (["star", 4, 2], "bad instance spec"),
     ({"shape": "star", "n": 4.9, "Q": 2}, "not an integer: 4.9"),
     ({"shape": "star", "n": 4, "Q": 2.5}, "not an integer: 2.5"),
@@ -203,12 +203,42 @@ def test_load_config_rejects_bad_configs(text, message):
      "seeds must be a non-empty list, got '12'"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": []},
      "seeds must be a non-empty list, got []"),
+    # a string is refused even where int() would read it
+    ({"shape": "star", "n": "4", "Q": " 2", "seeds": ["7"]},
+     "not an integer: '4'"),
+    ({"shape": "star", "n": 4, "Q": " 2"}, "not an integer: ' 2'"),
+    ({"shape": "star", "n": 4, "Q": 2, "seeds": ["7"]},
+     "not an integer: '7'"),
 ])
 def test_load_config_rejects_bad_instance_specs(spec, text):
     # a good spec first: every spec is checked, not just the first
     config = dict(SMALL, instances=[SMALL["instances"][1], spec])
     with pytest.raises(ValueError, match=re.escape(text)):
         load_config(json.dumps(config))
+
+
+def test_load_config_rejects_repeated_instances():
+    # the same seed twice in one spec and again in another would write three
+    # identical rows, and the summary mean would count each copy
+    text = json.dumps({"instances": [
+        {"shape": "star", "n": 4, "Q": 2, "seeds": [7, 7]},
+        {"shape": "star", "n": 4, "Q": 2, "seeds": [7]}],
+        "algorithms": ["itp"]})
+    with pytest.raises(ValueError, match=re.escape(
+            "repeated instance (shape, n, Q, demand_model, seed) "
+            "('star', 4, 2, 'unit', 7)")):
+        load_config(text)
+    # the demand model is part of the key, and it defaults to unit
+    for first, ok in (({"demand_model": "uniform"}, True),
+                      ({"demand_model": "unit"}, False), ({}, False)):
+        specs = [{"shape": "star", "n": 4, "Q": 2, "seeds": [7], **first},
+                 {"shape": "star", "n": 4, "Q": 2, "seeds": [3, 7]}]
+        text = json.dumps({"instances": specs, "algorithms": ["itp"]})
+        if ok:
+            assert len(rows_of(run_suite(load_config(text)))) == 3 + 1
+        else:
+            with pytest.raises(ValueError, match="repeated instance"):
+                load_config(text)
 
 
 @pytest.mark.parametrize("eps", [0, -1, "x", "1/0"])

@@ -350,6 +350,7 @@ def test_bench_bad_eps_is_usage_error(tmp_path, eps):
      "seeds must be a non-empty list, got '12'"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": []},
      "seeds must be a non-empty list, got []"),
+    ({"shape": "star", "n": "4", "Q": 2}, "not an integer: '4'"),
 ])
 def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
     config = tmp_path / "suite.json"
@@ -368,6 +369,8 @@ def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
      "needs 'algorithms' as a non-empty list"),
     ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
      ' "algorithms": ["itp", "itp"]}', "repeated algorithm"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2, "seeds": [7, 7]}],'
+     ' "algorithms": ["itp"]}', "repeated instance"),
 ])
 def test_bench_bad_config_is_usage_error(tmp_path, text, message):
     config = tmp_path / "suite.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from treecvrp import height, instance
+from treecvrp import height, instance, verify
 from treecvrp.exact import solve_exact
 from treecvrp.generate import SHAPES, generate
 from treecvrp.height import (
@@ -316,9 +316,16 @@ class TestProjectLift:
         assert (rt.tree is inst) == (shape == "random")
         sol = itp_solve(rt.tree)
         calls = []
-        sets_cost = instance._sets_cost
-        monkeypatch.setattr(instance, "_sets_cost",
-                            lambda *a: calls.append(1) or sets_cost(*a))
+        price = instance._positions_cost
+
+        def spy(*args):
+            calls.append(1)
+            return price(*args)
+
+        # check_feasible imports the pricing primitive by name; solution_cost
+        # reads it from its own module
+        for module in (instance, verify):
+            monkeypatch.setattr(module, "_positions_cost", spy)
         lifted = lift_solution(rt, sol)
         # one pricing when the trees coincide, one per tree otherwise
         assert len(calls) == (1 if rt.tree is inst else 2)

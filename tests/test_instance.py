@@ -13,6 +13,7 @@ from treecvrp.instance import (
     solution_cost, tour_cost)
 
 from conftest import edge_count_cost, random_instance, relabeled
+from oracle import heavy_paths_reference
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -250,6 +251,24 @@ def test_fraction_tours_with_an_integral_total_cost_an_int():
     cost = solution_cost(inst, tours)
     assert cost == 1 and type(cost) is int
     assert type(Solution.of(inst, tours).total_cost) is int
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_preorder_tables_are_the_heavy_paths_by_position(shape):
+    """pos is the node-indexed reference's; head, jump and dist are its
+    head node, that head's parent and dist_root, read by position."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        base = generate(shape, 2 + 9 * seed, 3, "unit", seed)
+        for inst in (base, _relabeled(base, rng)):
+            pos, head, jump, dist = inst.preorder
+            ref_pos, ref_head = heavy_paths_reference(inst)
+            assert pos == ref_pos
+            for v in range(inst.n):
+                h = ref_head[v]
+                assert head[pos[v]] == pos[h]
+                assert jump[pos[v]] == (pos[inst.parent[h]] if h else -1)
+                assert dist[pos[v]] == inst.dist_root[v]
 
 
 def test_pickup_set_cost_keeps_the_callers_order():

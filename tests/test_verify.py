@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from treecvrp.exact import solve_exact
 from treecvrp.instance import Solution, Tour, TreeInstance
 from treecvrp.verify import check_feasible, ratio_report
 
-from conftest import random_instance
+from conftest import edge_count_cost, random_instance, relabeled
+from oracle import check_feasible_reference
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -83,6 +86,73 @@ def test_violations_are_pinned_in_text_and_order():
         "declared cost 0 != recomputed 6",
     )
     assert (rep.ok, rep.recomputed_cost) == (False, 6)
+
+
+def _random_case(rng, fractional):
+    """A random relabeled tree and a random packing of its tokens into
+    tours, then up to two defects: an overloaded tour, short or extra
+    coverage, an unknown node, a wrong declared cost."""
+    n = rng.randint(1, 40)
+    deep = rng.random() < 0.5
+    parent = [-1] + [v - 1 if deep and rng.random() < 0.8 else rng.randrange(v)
+                     for v in range(1, n)]
+    if fractional:
+        weight = [0] + [Fraction(rng.randint(0, 12), rng.randint(1, 4))
+                        for _ in range(1, n)]
+    else:
+        weight = [0] + [rng.randint(0, 9) for _ in range(1, n)]
+    demand = [rng.randint(0, 3) for _ in range(n)]
+    q = rng.randint(1, 5)
+    inst = TreeInstance(tuple(parent), tuple(weight), tuple(demand), q)
+    ids = list(range(1, n))
+    rng.shuffle(ids)
+    inst = relabeled(inst, ids)
+    tokens = [v for v in range(n) for _ in range(inst.demand[v])]
+    rng.shuffle(tokens)
+    tours = []
+    while tokens:
+        size = rng.randint(1, q)
+        tours.append(Counter(tokens[:size]))
+        tokens = tokens[size:]
+    if rng.random() < 0.2:
+        tours.insert(rng.randrange(len(tours) + 1), Counter())
+    defects = rng.sample(["capacity", "short", "extra", "unknown", "cost"],
+                         rng.choice([0, 0, 1, 1, 2]))
+    if "capacity" in defects and len(tours) > 1:
+        i = rng.randrange(len(tours) - 1)
+        tours[i] += tours.pop(i + 1)
+        tours[i][rng.randrange(n)] += q
+    if "short" in defects and any(tours):
+        t = rng.choice([t for t in tours if t])
+        t[rng.choice(list(t))] -= 1
+    if "extra" in defects and tours:
+        rng.choice(tours)[rng.randrange(n)] += 1
+    if "unknown" in defects and tours:
+        rng.choice(tours)[rng.choice([n, n + 3, -1, -n - 1])] += 1
+    tours = [Tour.of(t) for t in tours]
+    cost = edge_count_cost(inst, Solution(tuple(tours), 0))
+    if "cost" in defects:
+        cost += rng.choice([1, -2, Fraction(1, 2)])
+    return inst, Solution(tuple(tours), cost)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["int", "fraction"])
+def test_report_equals_reference(fractional):
+    """The whole report, cost type included, equals the node-list
+    reference's on feasible and broken solutions."""
+    rng = random.Random(2024 + fractional)
+    seen = Counter()
+    for _ in range(400):
+        inst, sol = _random_case(rng, fractional)
+        rep = check_feasible(inst, sol)
+        assert repr(rep) == repr(check_feasible_reference(inst, sol))
+        seen["ok" if rep.ok else "broken"] += 1
+        for text in rep.violations:
+            kind = next(k for k in ("exceeds", "covered", "unknown",
+                                    "declared") if k in text)
+            seen[kind] += 1
+    # every kind of report was met, each many times
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
 
 
 class TestRatioReport:
