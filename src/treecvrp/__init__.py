@@ -9,12 +9,12 @@ from .instance import (Solution, Tour, TreeInstance, load_instance,
                        load_solution, normalize_demands, save_instance,
                        save_solution)
 from .structure import TransformParams, thresholds, transform
-from .verify import check_feasible, ratio_report
+from .verify import check_feasible
 
 __all__ = [
     "DPParams", "Solution", "Tour", "TransformParams", "TreeInstance",
     "build_reduced_tree", "check_feasible", "flow_lower_bound", "generate",
     "itp_solve", "load_instance", "load_solution", "normalize_demands",
-    "ratio_report", "save_instance", "save_solution", "solve_bicriteria",
-    "solve_exact", "solve_structured", "thresholds", "transform",
+    "save_instance", "save_solution", "solve_bicriteria", "solve_exact",
+    "solve_structured", "thresholds", "transform",
 ]

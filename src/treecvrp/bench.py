@@ -1,5 +1,12 @@
 """Benchmark harness: JSON suite config in, deterministic CSV out.
 
+``ALGORITHMS`` and ``solve`` are the one algorithm table, which ``treecvrp
+solve`` uses too. Each instance is solved once by the exact oracle, whose
+optimum is every row's reference; past the oracle's token limit the flow lower
+bound is, and the ratio then bounds the true one from above. A config or spec
+key other than ``instances``, ``algorithms``, ``eps`` and ``shape``, ``n``,
+``Q``, ``demand_model``, ``seeds`` is refused.
+
 Rows are sorted by key (shape, n, Q, demand model, seed, algorithm), not by
 completion order, and the wall-time column stays empty unless timing is
 requested, so re-running the same config yields a byte-identical file. Solver
@@ -25,7 +32,7 @@ from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
 from .exact import OracleSizeError, solve_exact
 from .generate import check_args, generate
-from .verify import _ratio_against
+from .verify import check_feasible
 
 CSV_VERSION = 1
 COLUMNS = ["shape", "n", "Q", "demand_model", "seed", "algorithm", "eps",
@@ -35,22 +42,28 @@ COLUMNS = ["shape", "n", "Q", "demand_model", "seed", "algorithm", "eps",
 ALGORITHMS = ("exact", "itp", "bicriteria", "qptas")
 
 
-def _solve(algo: str, inst, eps: Fraction, stats: dict):
+def solve(algo: str, inst, eps: Fraction, params: DPParams | None = None,
+          max_tokens: int = 14, stats: dict | None = None):
+    """``inst`` solved by ``algo``; ``params``, if given, replaces qptas's
+    ``DPParams.defaults(inst, eps)``, and the DP solvers fill ``stats``."""
+    if algo == "exact":
+        return solve_exact(inst, max_tokens)
     if algo == "itp":
         return itp_solve(inst)
     if algo == "bicriteria":
         return solve_bicriteria(inst, eps, stats=stats).solution
     if algo == "qptas":
-        return solve_structured(inst, eps, DPParams.defaults(inst, eps),
+        return solve_structured(inst, eps,
+                                params or DPParams.defaults(inst, eps),
                                 stats=stats)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _attempt(fn, *args):
+def _attempt(fn, *args, **kwargs):
     """``(result, ms)`` of one call, or ``(error, None)`` if a solver fails."""
     start = time.perf_counter()
     try:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
     except (OracleSizeError, ResourceLimitError,
             NoStructuredSolutionError) as exc:
         return exc, None
@@ -63,6 +76,7 @@ def load_config(text: str) -> dict:
     config = json.loads(text)
     if not isinstance(config, dict):
         raise ValueError(f"suite config must be an object, got {config!r}")
+    _known_keys(config, ("instances", "algorithms", "eps"), "suite config")
     for key in ("instances", "algorithms"):
         if not isinstance(config.get(key), list) or not config[key]:
             raise ValueError(f"suite config needs {key!r} as a non-empty list")
@@ -99,11 +113,20 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _known_keys(obj: dict, keys: tuple, what: str) -> None:
+    """Refuse a key outside ``keys``, which would be ignored silently."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
+
+
 def _spec_values(spec: dict) -> tuple:
     """The checked shape, n, Q, demand model and seeds of a spec."""
     args = (spec["shape"], _integer(spec["n"]), _integer(spec["Q"]),
             spec.get("demand_model", "unit"))
     check_args(*args)
+    _known_keys(spec, ("shape", "n", "Q", "demand_model", "seeds"),
+                "instance spec")
     seeds = spec.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ValueError(f"seeds must be a non-empty list, got {seeds!r}")
@@ -151,22 +174,19 @@ def run_suite(config: dict, timing: bool = False) -> str:
 
 
 def _instance_rows(inst, key, algorithms, eps, timing) -> list[dict]:
-    """One row per algorithm, every one against a single oracle solve.
-
-    The optimum is the ``exact`` row's solution and every row's reference;
-    past the oracle's size limits the flow lower bound is the reference.
-    """
-    oracle = _attempt(solve_exact, inst)
+    """One row per algorithm, every one against the instance's single
+    oracle solve (module docstring)."""
+    oracle = _attempt(solve, "exact", inst, eps)
     opt = oracle[0]
     if isinstance(opt, OracleSizeError):
-        reference = ("lower_bound", flow_lower_bound(inst), True)
+        reference, ref_value = "lower_bound", flow_lower_bound(inst)
     else:
-        reference = ("oracle", opt.total_cost, False)
+        reference, ref_value = "oracle", opt.total_cost
     rows = []
     for algo in algorithms:
         stats: dict = {}
         sol, ms = (oracle if algo == "exact"
-                   else _attempt(_solve, algo, inst, eps, stats))
+                   else _attempt(solve, algo, inst, eps, stats=stats))
         row = {**dict.fromkeys(COLUMNS, ""), **key, "algorithm": algo}
         rows.append(row)
         if isinstance(sol, Exception):
@@ -174,14 +194,13 @@ def _instance_rows(inst, key, algorithms, eps, timing) -> list[dict]:
             continue
         if timing:
             row["wall_ms"] = f"{ms:.1f}"
-        rep = _ratio_against(inst, sol, *reference)
-        row["cost"] = rep.cost
-        row["reference"] = rep.reference
-        row["ref_value"] = rep.reference_value
-        row["ratio"] = str(rep.ratio) if rep.ratio is not None else ""
+        rep = check_feasible(inst, sol)
+        cost = rep.recomputed_cost
+        row.update(cost=cost, reference=reference, ref_value=ref_value,
+                   ratio=str(Fraction(cost) / ref_value) if ref_value else "")
         if "states" in stats:
             row["states"] = stats["states"]
-        if not rep.feasible:
+        if not rep.ok:
             row["error"] = "infeasible solution"
     return rows
 

@@ -14,10 +14,9 @@ from fractions import Fraction
 import click
 
 from . import bench as bench_mod
-from .baselines import flow_lower_bound, itp_solve
-from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
-                 solve_bicriteria, solve_structured)
-from .exact import OracleSizeError, solve_exact
+from .baselines import flow_lower_bound
+from .dp import DPParams, NoStructuredSolutionError, ResourceLimitError
+from .exact import OracleSizeError
 from .generate import DEMAND_MODELS, SHAPES, generate
 from .height import build_reduced_tree, lift_solution
 from .instance import (InstanceError, load_instance, load_solution,
@@ -87,8 +86,8 @@ def gen(shape, n, capacity, demand_model, seed, output):
 
 @main.command()
 @click.argument("instance")
-@click.option("--algo", type=click.Choice(["exact", "itp", "bicriteria",
-                                           "qptas"]), default="exact")
+@click.option("--algo", type=click.Choice(bench_mod.ALGORITHMS),
+              default="exact")
 @eps_option
 @click.option("--gamma", type=click.IntRange(min=0), default=None)
 @click.option("--groups", "-g", type=click.IntRange(min=0), default=None)
@@ -107,18 +106,15 @@ def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,
     if reduce_height:
         reduced = build_reduced_tree(inst, eps)
         target = reduced.tree
+    # qptas's parameters, built only when a flag overrides a default: the
+    # other algorithms ignore them, and a tiny eps makes the defaults raise
+    params = None
+    if (gamma, groups, pad_cap) != (None, None, 0):
+        params = dataclasses.replace(
+            DPParams.defaults(target, eps, pad_cap=pad_cap),
+            **_given(gamma=gamma, groups=groups))
     try:
-        if algo == "exact":
-            sol = solve_exact(target, max_tokens=max_tokens)
-        elif algo == "itp":
-            sol = itp_solve(target)
-        elif algo == "bicriteria":
-            sol = solve_bicriteria(target, eps).solution
-        else:
-            params = dataclasses.replace(
-                DPParams.defaults(target, eps, pad_cap=pad_cap),
-                **_given(gamma=gamma, groups=groups))
-            sol = solve_structured(target, eps, params)
+        sol = bench_mod.solve(algo, target, eps, params, max_tokens)
     except (OracleSizeError, ResourceLimitError) as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
@@ -140,7 +136,7 @@ def verify(instance, solution, as_json):
     sol = _load_sol(solution)
     rep = check_feasible(inst, sol)
     if as_json:
-        click.echo(json.dumps(dataclasses.asdict(rep)))
+        click.echo(json.dumps(dataclasses.asdict(rep), default=str))
     else:
         for v in rep.violations:
             click.echo(v)

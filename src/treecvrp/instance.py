@@ -392,6 +392,9 @@ def load_instance(text: str) -> TreeInstance:
             raise InstanceError(f"malformed line: {ln!r}") from exc
     if n is None or q is None:
         raise InstanceError("missing n or Q line")
+    # before allocating per-node lists, so that a huge n line alone fails fast
+    if len(edges) != n - 1:
+        raise InstanceError(f"expected {n - 1} edges, got {len(edges)}")
     parent: list[int] = [-1] * n
     weight: list[Weight] = [0] * n
     seen_child = set()
@@ -403,8 +406,6 @@ def load_instance(text: str) -> TreeInstance:
         seen_child.add(c)
         parent[c] = p
         weight[c] = w
-    if len(edges) != n - 1:
-        raise InstanceError(f"expected {n - 1} edges, got {len(edges)}")
     demand = [0] * n
     for node, d in demands.items():
         if not 0 <= node < n:

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from treecvrp import bench, exact
+from treecvrp.baselines import flow_lower_bound
 from treecvrp.bench import ALGORITHMS, COLUMNS, load_config, run_suite
+from treecvrp.dp import DPParams, NoStructuredSolutionError
+from treecvrp.exact import OracleSizeError
+from treecvrp.generate import generate
+from treecvrp.structure import thresholds
+
+from conftest import random_instance
 
 SMALL = {
     "instances": [
@@ -105,9 +112,9 @@ def test_timing_fills_wall_ms():
 def test_exact_wall_ms_is_the_one_oracle_solve(monkeypatch):
     real = exact.solve_exact
 
-    def slow(inst):
+    def slow(inst, *args):
         time.sleep(0.05)
-        return real(inst)
+        return real(inst, *args)
 
     monkeypatch.setattr(bench, "solve_exact", slow)
     cfg = dict(SMALL, instances=SMALL["instances"][1:])
@@ -122,6 +129,41 @@ def test_exact_summary_ratio_is_one():
     (summary,) = [r for r in rows
                   if r["shape"] == "summary" and r["algorithm"] == "exact"]
     assert summary["ratio"] == "1"
+    # and so is each exact row's, its own solution over itself
+    data = [r for r in rows if r["shape"] != "summary"
+            and r["algorithm"] == "exact"]
+    assert len(data) == 3
+    assert all(r["reference"] == "oracle" and r["ratio"] == "1"
+               and r["cost"] == r["ref_value"] for r in data)
+
+
+def test_star_itp_row_against_the_bound(monkeypatch):
+    # the oracle at a 2-token limit refuses the 3-token star, so the rows
+    # fall back to the flow bound, which ITP meets: 6/6
+    monkeypatch.setattr(bench, "solve_exact",
+                        lambda inst, max_tokens: exact.solve_exact(inst, 2))
+    cfg = dict(SMALL, instances=SMALL["instances"][1:],
+               algorithms=["exact", "itp"])
+    rows = {r["algorithm"]: r for r in rows_of(run_suite(cfg))
+            if r["shape"] != "summary"}
+    assert rows["exact"]["error"] == (
+        "OracleSizeError: 3 tokens exceeds oracle limit 2")
+    itp = rows["itp"]
+    assert (itp["reference"], itp["ref_value"], itp["cost"], itp["ratio"],
+            itp["error"]) == ("lower_bound", "6", "6", "1", "")
+
+
+def test_itp_ratio_at_least_one_against_oracle(monkeypatch):
+    # the suite's instances are the hand-rolled random trees of conftest
+    monkeypatch.setattr(
+        bench, "generate", lambda shape, n, q, model, seed: random_instance(
+            seed, unit_demand=False, max_tokens=9))
+    cfg = {"instances": [{"shape": "random", "n": 2, "Q": 1,
+                          "seeds": list(range(10))}], "algorithms": ["itp"]}
+    data = [r for r in rows_of(run_suite(cfg)) if r["shape"] != "summary"]
+    assert len(data) == 10
+    assert all(r["reference"] == "oracle" and not r["error"] for r in data)
+    assert all(Fraction(r["ratio"]) >= 1 for r in data)
 
 
 def test_rows_sorted_by_key():
@@ -145,6 +187,10 @@ def test_oversized_oracle_recorded_not_raised(oracle_calls):
                and r["shape"] != "summary"][0]
     assert itp_row["error"] == ""
     assert itp_row["reference"] == "lower_bound"
+    inst = generate("random", 30, 3, "uniform", 0)
+    assert itp_row["ref_value"] == str(flow_lower_bound(inst))
+    assert Fraction(itp_row["ratio"]) == (Fraction(itp_row["cost"])
+                                          / flow_lower_bound(inst))
     assert len(oracle_calls) == 1
 
 
@@ -175,6 +221,10 @@ def test_load_config_validates():
     ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
      ' "algorithms": ["itp", "exact", "itp"]}',
      "repeated algorithm in ['itp', 'exact', 'itp']"),
+    # a misspelt key would run with its default
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
+     ' "algorithms": ["itp"], "epsilon": 0.1}',
+     "unknown key 'epsilon' in suite config"),
 ])
 def test_load_config_rejects_bad_configs(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -209,6 +259,11 @@ def test_load_config_rejects_bad_configs(text, message):
     ({"shape": "star", "n": 4, "Q": " 2"}, "not an integer: ' 2'"),
     ({"shape": "star", "n": 4, "Q": 2, "seeds": ["7"]},
      "not an integer: '7'"),
+    # a misspelt key would run with its default
+    ({"shape": "star", "n": 4, "Q": 2, "seed": 7},
+     "unknown key 'seed' in instance spec"),
+    ({"shape": "star", "n": 4, "Q": 2, "demand-model": "heavy"},
+     "unknown key 'demand-model' in instance spec"),
 ])
 def test_load_config_rejects_bad_instance_specs(spec, text):
     # a good spec first: every spec is checked, not just the first
@@ -266,3 +321,18 @@ def test_eps_reaches_solvers_exactly(monkeypatch):
                     "solve_structured": {Fraction(1, 10)}}
     data = [r for r in rows if r["shape"] != "summary"]
     assert {r["eps"] for r in data} == {"0.1"}
+
+
+def test_solve_runs_every_algorithm():
+    inst = generate("random", 6, 3, "unit", 1)
+    costs = {algo: bench.solve(algo, inst, Fraction(1, 2)).total_cost
+             for algo in ALGORITHMS}
+    assert costs == {"exact": 68, "itp": 76, "bicriteria": 68, "qptas": 68}
+    with pytest.raises(OracleSizeError):
+        bench.solve("exact", inst, Fraction(1, 2), max_tokens=4)
+    # params replace qptas's defaults: no bucket may hold a tour
+    tight = DPParams(gamma=0, groups=0, schedule=thresholds(3, Fraction(1, 2)))
+    with pytest.raises(NoStructuredSolutionError):
+        bench.solve("qptas", inst, Fraction(1, 2), tight)
+    with pytest.raises(ValueError, match="unknown algorithm 'simplex'"):
+        bench.solve("simplex", inst, Fraction(1, 2))

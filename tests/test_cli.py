@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from treecvrp import cli
+from treecvrp import bench, cli
 from treecvrp.cli import main
 from treecvrp.instance import (TreeInstance, load_instance, load_solution,
                                save_instance, save_solution)
@@ -81,6 +81,45 @@ def test_verify_json_report(tmp_path):
     assert r.exit_code == 0
     payload = json.loads(r.output)
     assert payload["ok"] is True
+
+
+def test_verify_json_on_fractional_cost(tmp_path):
+    # cost 2 * (1/3 + 1/2) for the two tokens of node 2, then 2 * 1/3 for
+    # node 1's: 5/3, printed as the file format spells it
+    inst_file = tmp_path / "inst.txt"
+    sol_file = tmp_path / "sol.txt"
+    inst_file.write_text("cvrp-tree v1\nn 3\nQ 3\nedge 0 1 1/3\n"
+                         "edge 1 2 1/2\ndemand 1 1\ndemand 2 2\n")
+    from treecvrp.baselines import itp_solve
+    sol = itp_solve(load_instance(inst_file.read_text()))
+    assert sol.total_cost == Fraction(5, 3)
+    sol_file.write_text(save_solution(sol))
+    r = run("verify", str(inst_file), str(sol_file), "--json")
+    assert r.exit_code == 0, r.output
+    payload = json.loads(r.output)
+    assert payload == {"ok": True, "recomputed_cost": "5/3",
+                       "violations": []}
+
+
+@pytest.mark.parametrize("algo", bench.ALGORITHMS)
+def test_solve_saves_the_bench_solution(tmp_path, algo):
+    inst = generate("binary", 6, 2, "unit", 1)
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(inst))
+    r = run("solve", str(inst_file), "--algo", algo)
+    assert r.exit_code == 0, r.output
+    assert r.output == save_solution(bench.solve(algo, inst, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("algo", ["exact", "itp"])
+def test_solve_builds_no_dp_params_it_does_not_use(tmp_path, algo):
+    # DPParams.defaults raises ZeroDivisionError at this eps; exact and ITP
+    # never read it
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
+    r = run("solve", str(inst_file), "--algo", algo, "--eps", "1/1" + "0" * 200)
+    assert r.exit_code == 0, r.output
+    assert load_solution(r.output).total_cost == 6
 
 
 def test_bound(tmp_path):
@@ -203,13 +242,14 @@ def test_gamma_alone_keeps_default_groups(tmp_path, monkeypatch, cmd, target):
     inst_file.write_text(save_instance(inst))
     sol_file.write_text(save_solution(solve_exact(inst)))
     seen = []
-    real = getattr(cli, target)
+    owner = bench if target == "solve_structured" else cli
+    real = getattr(owner, target)
 
     def spy(*args, **kw):
         seen.append(args[2] if target == "solve_structured" else args[3])
         return real(*args, **kw)
 
-    monkeypatch.setattr(cli, target, spy)
+    monkeypatch.setattr(owner, target, spy)
     files = [str(inst_file)] + ([str(sol_file)] if target == "transform" else [])
     r = run(cmd[0], *files, *cmd[1:], "--gamma", "5")
     assert r.exit_code == 0, r.output
@@ -269,13 +309,14 @@ def test_eps_is_parsed_exactly(tmp_path, monkeypatch, cmd, target):
     inst_file.write_text(save_instance(inst))
     sol_file.write_text(save_solution(solve_exact(inst)))
     seen = []
-    real = getattr(cli, target)
+    owner = bench if target == "solve_structured" else cli
+    real = getattr(owner, target)
 
     def spy(*args, **kw):
         seen.append(args[2] if target == "transform" else args[1])
         return real(*args, **kw)
 
-    monkeypatch.setattr(cli, target, spy)
+    monkeypatch.setattr(owner, target, spy)
     files = [str(inst_file)] + ([str(sol_file)] if target == "transform" else [])
     r = run(cmd[0], *files, *cmd[1:], "--eps", "0.1")
     assert r.exit_code == 0, r.output
@@ -351,6 +392,10 @@ def test_bench_bad_eps_is_usage_error(tmp_path, eps):
     ({"shape": "star", "n": 4, "Q": 2, "seeds": []},
      "seeds must be a non-empty list, got []"),
     ({"shape": "star", "n": "4", "Q": 2}, "not an integer: '4'"),
+    ({"shape": "star", "n": 4, "Q": 2, "seed": 7},
+     "unknown key 'seed' in instance spec"),
+    ({"shape": "star", "n": 4, "Q": 2, "demand-model": "heavy"},
+     "unknown key 'demand-model' in instance spec"),
 ])
 def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
     config = tmp_path / "suite.json"
@@ -371,6 +416,9 @@ def test_bench_bad_instance_spec_is_usage_error(tmp_path, spec, text):
      ' "algorithms": ["itp", "itp"]}', "repeated algorithm"),
     ('{"instances": [{"shape": "star", "n": 4, "Q": 2, "seeds": [7, 7]}],'
      ' "algorithms": ["itp"]}', "repeated instance"),
+    ('{"instances": [{"shape": "star", "n": 4, "Q": 2}],'
+     ' "algorithms": ["itp"], "epsilon": 0.1}',
+     "unknown key 'epsilon' in suite config"),
 ])
 def test_bench_bad_config_is_usage_error(tmp_path, text, message):
     config = tmp_path / "suite.json"

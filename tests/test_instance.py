@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -439,3 +440,16 @@ def test_load_instance_rejects_garbage():
         load_instance("cvrp-tree v1\nn 2\nQ 2\nedge 0 1 one\n")
     with pytest.raises(InstanceError):
         load_instance("cvrp-tree v1\nn 3\nQ 2\nedge 0 1 1\n")  # missing edge
+
+
+def test_load_instance_counts_edges_before_allocating():
+    # an n line alone must fail before per-node lists of n entries are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError,
+                           match="expected 999999 edges, got 0"):
+            load_instance("cvrp-tree v1\nn 1000000\nQ 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

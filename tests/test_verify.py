@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from treecvrp.baselines import flow_lower_bound, itp_solve
 from treecvrp.exact import solve_exact
 from treecvrp.instance import Solution, Tour, TreeInstance
-from treecvrp.verify import check_feasible, ratio_report
+from treecvrp.verify import check_feasible
 
 from conftest import edge_count_cost, random_instance, relabeled
 from oracle import check_feasible_reference
@@ -153,34 +152,3 @@ def test_report_equals_reference(fractional):
             seen[kind] += 1
     # every kind of report was met, each many times
     assert min(seen.values()) >= 20 and len(seen) == 6, seen
-
-
-class TestRatioReport:
-    def test_oracle_reference_is_one_for_exact(self):
-        sol = solve_exact(STAR)
-        rep = ratio_report(STAR, sol, "oracle")
-        assert rep.ratio == 1
-        assert not rep.fell_back
-
-    def test_itp_vs_lower_bound_on_star(self):
-        rep = ratio_report(STAR, itp_solve(STAR), "lower_bound")
-        assert rep.ratio == Fraction(6, 6)
-
-    def test_fallback_when_oracle_too_big(self):
-        inst = TreeInstance((-1, 0), (0, 1), (0, 30), 2)
-        from treecvrp.instance import Tour as T
-        tours = [T.of({1: 2}) for _ in range(15)]
-        rep = ratio_report(inst, Solution.of(inst, tours), "oracle")
-        assert rep.fell_back
-        assert rep.reference == "lower_bound"
-        assert rep.reference_value == flow_lower_bound(inst)
-
-    def test_ratio_at_least_one_against_oracle(self):
-        for seed in range(10):
-            inst = random_instance(seed, unit_demand=False, max_tokens=9)
-            rep = ratio_report(inst, itp_solve(inst), "oracle")
-            assert rep.ratio >= 1
-
-    def test_rejects_unknown_reference(self):
-        with pytest.raises(ValueError):
-            ratio_report(STAR, solve_exact(STAR), "vibes")
