@@ -13,6 +13,7 @@ from treecvrp.bench import ALGORITHMS, COLUMNS, load_config, run_suite
 from treecvrp.dp import DPParams, NoStructuredSolutionError
 from treecvrp.exact import OracleSizeError
 from treecvrp.generate import generate
+from treecvrp.instance import TreeInstance
 from treecvrp.structure import thresholds
 
 from conftest import random_instance
@@ -129,8 +130,11 @@ def test_exact_summary_ratio_is_one():
     (summary,) = [r for r in rows
                   if r["shape"] == "summary" and r["algorithm"] == "exact"]
     assert summary["ratio"] == "1"
-    # and so is each exact row's, its own solution over itself
-    data = [r for r in rows if r["shape"] != "summary"
+
+
+def test_exact_rows_ratio_is_one():
+    # each exact row is its own solution over itself
+    data = [r for r in rows_of(run_suite(SMALL)) if r["shape"] != "summary"
             and r["algorithm"] == "exact"]
     assert len(data) == 3
     assert all(r["reference"] == "oracle" and r["ratio"] == "1"
@@ -187,11 +191,23 @@ def test_oversized_oracle_recorded_not_raised(oracle_calls):
                and r["shape"] != "summary"][0]
     assert itp_row["error"] == ""
     assert itp_row["reference"] == "lower_bound"
-    inst = generate("random", 30, 3, "uniform", 0)
+    assert len(oracle_calls) == 1
+
+
+def test_oversized_oracle_falls_back_to_lower_bound(monkeypatch):
+    # 30 tokens at one leaf are past the oracle's limit
+    inst = TreeInstance((-1, 0), (0, 1), (0, 30), 2)
+    monkeypatch.setattr(bench, "generate",
+                        lambda shape, n, q, model, seed: inst)
+    cfg = {"instances": [{"shape": "random", "n": 2, "Q": 2, "seeds": [0]}],
+           "algorithms": ["itp"]}
+    (itp_row,) = [r for r in rows_of(run_suite(cfg))
+                  if r["shape"] != "summary"]
+    assert itp_row["error"] == ""
+    assert itp_row["reference"] == "lower_bound"
     assert itp_row["ref_value"] == str(flow_lower_bound(inst))
     assert Fraction(itp_row["ratio"]) == (Fraction(itp_row["cost"])
                                           / flow_lower_bound(inst))
-    assert len(oracle_calls) == 1
 
 
 def test_columns_are_versioned_contract():
