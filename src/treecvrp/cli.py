@@ -107,7 +107,7 @@ def solve(instance, algo, eps, gamma, groups, pad_cap, reduce_height,
         reduced = build_reduced_tree(inst, eps)
         target = reduced.tree
     # qptas's parameters, built only when a flag overrides a default: the
-    # other algorithms ignore them, and a tiny eps makes the defaults raise
+    # other algorithms ignore them
     params = None
     if (gamma, groups, pad_cap) != (None, None, 0):
         params = dataclasses.replace(

@@ -10,6 +10,16 @@ every split of them, plus 0..pad_cap pads, into tours of at most Q. Then the
 solver's node filter (structure check or size rounding) runs once on the
 node's final profile, and finally the parent edge is charged once per tour.
 
+Two steps are skipped where they cannot change a table. A node with no
+tokens and no pads has the own-token table ``{(): ...}``: folding it keeps
+every key, cost and order, and cuts nothing, because each entry of the
+accumulated table already meets the node's cut (see the first child below;
+the fold enumerations check each new entry against it) and the slack only
+grows as children are folded. So that fold is not run. The node filter is
+not run either where it keeps every profile: a bicriteria grid of 1..Q
+rounds nothing, and no node holds more tours than the depot's
+D_0 + pad_cap*n, so at a gamma of at least that every bucket is small.
+
 A table entry is ``(cost, back)``. ``back`` is ``(v, d)`` for node v's d
 tokens split as the key, ``(acc_key, acc_back, child_key, child_back, cur)``
 for the pair whose fold first reached the key at the least cost, or the
@@ -141,7 +151,10 @@ class DPParams:
     @classmethod
     def generous(cls, inst: TreeInstance,
                  eps: Fraction | float = Fraction(1, 2)) -> "DPParams":
-        """Parameters making every bucket small; the DP is then exact."""
+        """Parameters making every bucket small; the DP is then exact.
+
+        At ``pad_cap`` 0, gamma is above the most tours any node can hold,
+        so ``solve_structured`` runs no node filter at all."""
         return cls(gamma=inst.total_demand + 1, groups=1,
                    schedule=thresholds(inst.capacity, eps))
 
@@ -302,18 +315,26 @@ def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _partitions(total - first, first))
 
 
+@functools.lru_cache(maxsize=1024)
+def _own_keys(d: int, capacity: int,
+              pad_cap: int) -> tuple[tuple[int, ...], ...]:
+    """The keys of ``_own_tokens``: ascending partitions of d..d+pad_cap."""
+    return tuple(parts[::-1] for total in range(d, d + pad_cap + 1)
+                 for parts in _partitions(total, capacity))
+
+
 def _own_tokens(v: int, d: int, capacity: int, pad_cap: int) -> Table:
     """Node v's d tokens plus 0..pad_cap pads as a zero-cost child table.
 
     One entry, of back ``(v, d)``, per partition into tours of at most
-    ``capacity``. Folded last, each existing tour takes at most one part and
-    the other parts start new tours, which reaches every way of handing the
-    tokens out. ``_rebuild`` fills the largest parts with physical tokens
-    first; which tokens are physical changes the witness, not the DP value.
+    ``capacity``; the keys are cached per ``(d, capacity, pad_cap)``. Folded
+    last, each existing tour takes at most one part and the other parts
+    start new tours, which reaches every way of handing the tokens out.
+    ``_rebuild`` fills the largest parts with physical tokens first; which
+    tokens are physical changes the witness, not the DP value. At d = 0 and
+    no pads the table is ``{(): ...}``, and the sweep skips its fold.
     """
-    return {parts[::-1]: (0, (v, d))
-            for total in range(d, d + pad_cap + 1)
-            for parts in _partitions(total, capacity)}
+    return dict.fromkeys(_own_keys(d, capacity, pad_cap), (0, (v, d)))
 
 
 def charge_edge(table: Table, weight: Weight) -> Table:
@@ -372,11 +393,11 @@ def _sweep(inst: TreeInstance, node_filter, bound: _Bound, budget: int,
            stats: dict | None = None) -> tuple[Weight, list]:
     """Bottom-up profile DP; returns the root's cost and its tours.
 
-    ``node_filter`` runs once per non-depot node, on its profile after the
-    node's own tokens are folded in; intermediate child folds are not node
-    profiles and are never filtered. The depot is not folded: its entry
-    concatenates each depot child's best entry and covers ``demand[0]`` with
-    extra tours of at most Q tokens, which cost nothing.
+    ``node_filter``, if not None, runs once per non-depot node, on its
+    profile after the node's own tokens are folded in; intermediate child
+    folds are not node profiles and are never filtered. The depot is not
+    folded: its entry concatenates each depot child's best entry and covers
+    ``demand[0]`` with extra tours of at most Q tokens, which cost nothing.
 
     Each depot subtree is swept on its own, in deepening rounds of ``bound``,
     and the run stops at the first one, in child order, that fails: its error
@@ -435,9 +456,10 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
         if acc is None:
             acc = {k: e for k, e in own.items() if bound.keeps(e[0], len(k))}
             _check_budget(acc, budget, v)
-        else:
+        elif inst.demand[v] or bound.pad_cap:  # else the fold is the identity
             acc = merge_child_table(acc, own, inst.capacity, budget, v, bound)
-        acc = node_filter(acc)
+        if node_filter is not None:
+            acc = node_filter(acc)
         states += len(acc)
         if not acc:
             if bound.over is not None:
@@ -449,29 +471,35 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
 
 
 def _to_solution(inst: TreeInstance, tours) -> Solution:
-    """The tours' physical pickups as a solution; pads are dropped."""
-    return Solution.of(inst, [Tour.of(phys) for _, phys in tours if phys])
+    """The tours' physical pickups as a solution; pads are dropped. A tour's
+    ``phys`` holds distinct nodes with positive counts, so it only needs
+    sorting."""
+    return Solution.of(inst, [Tour(tuple(sorted(phys)))
+                              for _, phys in tours if phys])
 
 
 @dataclass(frozen=True)
 class BicriteriaResult:
     solution: Solution
-    eps_prime: float
+    eps_prime: Fraction | float
     max_load: int
     dp_cost: Weight
     grid_exact: bool  # threshold grid was 1..Q, so no rounding happened
 
 
-def default_eps_prime(inst: TreeInstance, eps: float) -> float:
-    log_n = math.log2(max(inst.n, 2))
+def default_eps_prime(inst: TreeInstance, eps: Fraction | float) -> Fraction:
+    """min(eps^2/log2(n)^2, eps/height), exact: a float underflows to 0 for
+    a tiny eps."""
+    log_n, eps = Fraction(math.log2(max(inst.n, 2))), Fraction(eps)
     return min(eps ** 2 / log_n ** 2, eps / max(inst.height, 1))
 
 
 def _load_cap(inst: TreeInstance, sigma: tuple[int, ...]) -> int:
     """L, the most true tokens a ``solve_bicriteria`` tour on the grid
     ``sigma`` can carry (module docstring); Q when the grid is 1..Q."""
-    r = max((Fraction(hi - 1, lo) for lo, hi in zip(sigma, sigma[1:])),
-            default=1)
+    if len(sigma) == inst.capacity:  # the grid 1..Q: r = 1
+        return inst.capacity
+    r = max(Fraction(hi - 1, lo) for lo, hi in zip(sigma, sigma[1:]))
     return math.floor(inst.capacity * r ** (inst.height - 1))
 
 
@@ -511,12 +539,13 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
         raise ValueError("eps must be positive")
     ep = eps_prime if eps_prime is not None else default_eps_prime(inst, eps)
     sigma = thresholds(inst.capacity, ep).sigma
-    cost, tours = _sweep(inst, _rounding_filter(sigma),
+    # sigma rises strictly from 1 to Q, so it is 1..Q when it has Q steps
+    grid_exact = len(sigma) == inst.capacity
+    cost, tours = _sweep(inst, None if grid_exact else _rounding_filter(sigma),
                          _Bound(inst, 0, _load_cap(inst, sigma)), max_states,
                          stats)
     sol = _to_solution(inst, tours)
     max_load = max((t.load for t in sol.tours), default=0)
-    grid_exact = sigma == tuple(range(1, inst.capacity + 1))
     return BicriteriaResult(sol, ep, max_load, cost, grid_exact)
 
 
@@ -552,9 +581,11 @@ def solve_structured(inst: TreeInstance,
     """
     if params is None:
         params = DPParams.generous(inst, eps)
-    _, tours = _sweep(inst, _structure_filter(params),
-                      _Bound(inst, params.pad_cap, inst.capacity),
-                      params.max_states, stats)
+    bound = _Bound(inst, params.pad_cap, inst.capacity)
+    # no node holds more tours than the depot's cap: every bucket is small
+    node_filter = (None if params.gamma >= bound.tour_cap[0]
+                   else _structure_filter(params))
+    _, tours = _sweep(inst, node_filter, bound, params.max_states, stats)
     sol = _to_solution(inst, tours)
     assert sol.covered == Counter(
         {v: d for v, d in enumerate(inst.demand) if d})

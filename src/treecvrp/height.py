@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .instance import Solution, TreeInstance, Weight
 
@@ -108,8 +109,10 @@ class ReducedTree:
     zeroed_edges: tuple[int, ...]  # nodes whose parent edge was zeroed
 
 
-def path_length_trigger(n: int, eps: float) -> float:
-    return math.log2(max(n, 2)) / eps
+def path_length_trigger(n: int, eps: Fraction | float) -> int:
+    """floor(log2(n)/eps), exact, so that a tiny eps does not divide by a
+    float 0; a path of k edges triggers when k exceeds it."""
+    return math.floor(Fraction(math.log2(max(n, 2))) / Fraction(eps))
 
 
 def build_reduced_tree(inst: TreeInstance, eps: float) -> ReducedTree:

@@ -83,8 +83,10 @@ class TransformParams:
     groups: int  # g: group count for big buckets
 
     @classmethod
-    def defaults(cls, n: int, eps: float) -> "TransformParams":
-        log_n = math.log2(max(n, 2))
+    def defaults(cls, n: int, eps: Fraction | float) -> "TransformParams":
+        """gamma = ceil(log2(n)^3/eps^2) and g = ceil(2*log2(n)/eps^2), at
+        least 1, in exact arithmetic: a float eps**2 is 0 for a tiny eps."""
+        log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
         gamma = max(1, math.ceil(log_n ** 3 / eps ** 2))
         g = max(1, math.ceil(2 * log_n / eps ** 2))
         return cls(gamma, g)

@@ -113,13 +113,48 @@ def test_solve_saves_the_bench_solution(tmp_path, algo):
 
 @pytest.mark.parametrize("algo", ["exact", "itp"])
 def test_solve_builds_no_dp_params_it_does_not_use(tmp_path, algo):
-    # DPParams.defaults raises ZeroDivisionError at this eps; exact and ITP
-    # never read it
+    # exact and ITP never read the DP parameters, at any eps
     inst_file = tmp_path / "inst.txt"
     inst_file.write_text(save_instance(generate("star", 4, 2, "unit", 7)))
     r = run("solve", str(inst_file), "--algo", algo, "--eps", "1/1" + "0" * 200)
     assert r.exit_code == 0, r.output
     assert load_solution(r.output).total_cost == 6
+
+
+TINY_EPS = "1/1" + "0" * 400  # a float of it is 0.0, of its inverse inf
+
+
+@pytest.mark.parametrize("cmd", [["solve", "--algo", "qptas"],
+                                 ["solve", "--algo", "bicriteria"],
+                                 ["reduce"], ["transform"]])
+def test_tiny_eps_runs(tmp_path, cmd):
+    # gamma, g, eps' and the path trigger are exact, so none of them turns
+    # into a float 0 or inf: solve gives the exact solution, reduce the
+    # unchanged tree, and transform samples no tour
+    inst = generate("star", 4, 2, "unit", 7)
+    inst_file, out_file = tmp_path / "inst.txt", tmp_path / "out.txt"
+    inst_file.write_text(save_instance(inst))
+    args = [*cmd[:1], str(inst_file), *cmd[1:], "--eps", TINY_EPS]
+    if cmd == ["transform"]:
+        sol_file = tmp_path / "sol.txt"
+        sol_file.write_text(save_solution(solve_exact(inst)))
+        inst_file = tmp_path / "inst2.txt"
+        args[2:2] = [str(sol_file)]
+        args += ["--instance-out", str(inst_file),
+                 "--solution-out", str(out_file)]
+    elif cmd != ["reduce"]:
+        args += ["-o", str(out_file)]
+    r = run(*args)
+    assert r.exit_code == 0, r.output
+    if cmd == ["reduce"]:
+        assert load_instance(r.output) == inst
+        return
+    if cmd == ["transform"]:
+        payload = json.loads(r.output)
+        assert payload["sampled_ids"] == [] and payload["cost_after"] == 6
+    r = run("verify", str(inst_file), str(out_file))
+    assert r.exit_code == 0, r.output
+    assert load_solution(out_file.read_text()).total_cost == 6
 
 
 def test_bound(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treecvrp import dp
 from treecvrp.baselines import flow_lower_bound
 from treecvrp.dp import (
     DPParams, NoStructuredSolutionError, ResourceLimitError, _Bound,
@@ -16,7 +18,8 @@ from treecvrp.dp import (
     solve_bicriteria, solve_structured)
 from treecvrp.generate import generate, stress_instance
 from treecvrp.instance import Solution, Tour, TreeInstance
-from treecvrp.structure import TransformParams, profile_complexity, thresholds
+from treecvrp.structure import (
+    ThresholdSchedule, TransformParams, profile_complexity, thresholds)
 from treecvrp.verify import check_feasible
 
 from conftest import random_instance
@@ -601,6 +604,101 @@ class TestBoundPruning:
                             sum(2 * inst.weight[e] * max(0, m - bound.need[e])
                                 for e in path)
                             for m in range(bound.tour_cap[v] + 1)]
+
+
+def sweep_outcome(inst, node_filter, pad_cap, load_cap, budget):
+    """(cost, states, rounds, canonical solution) of one sweep, or the
+    failing node."""
+    stats = {}
+    try:
+        cost, tours = _sweep(inst, node_filter,
+                             _Bound(inst, pad_cap, load_cap), budget, stats)
+    except (NoStructuredSolutionError, ResourceLimitError) as exc:
+        return exc.node
+    return (cost, stats["states"], stats["rounds"],
+            _to_solution(inst, tours).canonical())
+
+
+class TestSkippedWork:
+    """The solvers skip a node filter that cannot act and the own-token fold
+    of a node with no tokens or pads; neither changes a table."""
+
+    def test_skipped_filter_changes_nothing(self, monkeypatch):
+        # each solver's own choice of filter against the filter forced on,
+        # at generous, default and tight parameters, with and without pads
+        monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+        from workloads import hub_instances
+        family = [random_instance(seed, unit_demand=False, max_tokens=8)
+                  for seed in range(40)] + hub_instances(1)
+        chosen, sweep = [], dp._sweep
+
+        def spy(inst, node_filter, *args, **kwargs):
+            chosen.append(node_filter)
+            return sweep(inst, node_filter, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "_sweep", spy)
+        skipped = 0
+        for inst in family:
+            q = inst.capacity
+            gen = DPParams.generous(inst)
+            for params in (gen, dataclasses.replace(gen, pad_cap=1),
+                           DPParams.defaults(inst, 0.5),
+                           DPParams(1, 1, thresholds(q, 0.5))):
+                try:
+                    solve_structured(inst, 0.5, params)
+                except NoStructuredSolutionError:
+                    pass
+                own = sweep_outcome(inst, chosen[-1], params.pad_cap, q,
+                                    params.max_states)
+                forced = sweep_outcome(inst, _structure_filter(params),
+                                       params.pad_cap, q, params.max_states)
+                assert own == forced, (inst, params)
+                skipped += chosen[-1] is None
+            solve_bicriteria(inst, 0.5)
+            assert chosen[-1] is None  # the default grid is 1..Q here
+            assert sweep_outcome(inst, None, 0, q, 200_000) == sweep_outcome(
+                inst, _rounding_filter(tuple(range(1, q + 1))), 0, q, 200_000)
+        assert skipped >= 2 * len(family)
+
+    def test_bucket_rule_runs_only_where_it_can_act(self, monkeypatch):
+        calls = []
+        rule = ThresholdSchedule.bucket_rule
+
+        def spy(self, *args):
+            calls.append(args)
+            return rule(self, *args)
+
+        monkeypatch.setattr(ThresholdSchedule, "bucket_rule", spy)
+        inst = hub_tree(0, 2, 5, (1, 3), 14)
+        generous = solve_structured(inst)
+        assert calls == []
+        tight = DPParams(gamma=1, groups=1, schedule=thresholds(5, 0.5))
+        assert solve_structured(inst, 0.5, tight).total_cost >= \
+            generous.total_cost
+        assert calls
+
+    def test_no_own_token_fold_without_tokens_or_pads(self, monkeypatch):
+        # node 1 is a hub of demand 0 with three leaves: its child folds run
+        # at any pad_cap, its own-token fold (a table of back (1, 0)) only
+        # when it may add pads
+        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 10, 9, 9, 9),
+                            (0, 0, 2, 2, 2), 3)
+        folds, merge = [], dp.merge_child_table
+
+        def spy(acc, child, capacity, budget, node, bound):
+            own = {b for _, b in child.values()} == {(node, 0)}
+            folds.append((node, own))
+            return merge(acc, child, capacity, budget, node, bound)
+
+        monkeypatch.setattr(dp, "merge_child_table", spy)
+        sched = thresholds(3, 0.5)
+        for pad_cap in (0, 1):
+            folds.clear()
+            sol = solve_structured(inst, 0.5,
+                                   DPParams(9, 1, sched, pad_cap=pad_cap))
+            assert sol.total_cost == 112
+            assert (1, False) in folds
+            assert ((1, True) in folds) == bool(pad_cap)
 
 
 class TestCollapsedRoot:

@@ -241,6 +241,11 @@ class TestReducedTree:
         trigger = path_length_trigger(inst.n, 0.5)
         assert inst.n - 1 > trigger  # the path did trigger
 
+    def test_trigger_is_an_exact_int_floor(self):
+        assert path_length_trigger(1024, Fraction(1, 10)) == 100
+        assert path_length_trigger(1000, Fraction(1, 2)) == 19
+        assert path_length_trigger(4, Fraction(1, 10 ** 400)) == 2 * 10 ** 400
+
     def test_anchor_distance_preserved(self):
         # the leaf is always an anchor; its depot distance is exact
         inst = long_path(40)

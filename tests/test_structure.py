@@ -104,6 +104,12 @@ class TestParams:
         p = TransformParams.defaults(2, 10.0)
         assert p.gamma >= 1 and p.groups >= 1
 
+    def test_exact_at_a_tiny_eps(self):
+        # eps**2 of a float 1e-400 is 0.0; exact arithmetic keeps it
+        p = TransformParams.defaults(256, Fraction(1, 10 ** 400))
+        assert p.gamma == 8 ** 3 * 10 ** 800
+        assert p.groups == 2 * 8 * 10 ** 800
+
 
 class TestBucketViews:
     def test_partial_coverage(self):
