@@ -66,6 +66,19 @@ distinct above it), so the edges from v up to t are crossed at least m
 times. A fold cuts a state, or a branch of its enumeration, as soon as
 lb > UB; a leaf cuts the states of its own-token table the same way.
 
+The path term does not depend on UB, so ``_Bound`` builds it once per node
+and solve and keeps it across rounds. It never decreases in m, so a state of
+cost c survives with m tours exactly when m <= most(c), the largest m with
+lb <= UB, found by one bisection: a fold finds most(c) once per pair and
+compares tour counts with it. A round records ``over``, the least amount by
+which a cut state's lb exceeds UB, and it must stay the least. A cut pair
+records its own overshoot. A kept pair whose enumeration can exceed most(c)
+records the overshoot at most(c) + 1 tours, which its all-new-tours branch
+reaches first. A leaf's entries all cost 0, so it keeps the keys of at most
+most(0) tours and records the overshoot of the shortest key it cut. That key
+need not have most(0) + 1 tours: on a coarse bicriteria grid L > Q, and even
+the keys of ceil(d/Q) tours may be cut.
+
 A node's first child c is not folded: its table met the state budget at c,
 and each charged entry already meets the cut. In ``_Bound``'s terms, one of
 m tours met cost_c + extra_c[m] <= slack_c at the end of c (the filter and
@@ -159,7 +172,7 @@ class DPParams:
                    schedule=thresholds(inst.capacity, eps))
 
     @classmethod
-    def defaults(cls, inst: TreeInstance, eps: float,
+    def defaults(cls, inst: TreeInstance, eps: Fraction | float,
                  pad_cap: int = 0) -> "DPParams":
         tp = TransformParams.defaults(inst.n, eps)
         return cls(gamma=tp.gamma, groups=tp.groups,
@@ -170,10 +183,9 @@ class DPParams:
 Table = dict
 
 
-def _check_budget(table: Table, budget: int, node: int) -> None:
-    if len(table) > budget:
-        raise ResourceLimitError(
-            f"DP frontier exceeded {budget} states at node {node}", node)
+def _over_budget(budget: int, node: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"DP frontier exceeded {budget} states at node {node}", node)
 
 
 class _Bound:
@@ -185,8 +197,9 @@ class _Bound:
     the flow bound into the folded cost. In between, a state of cost c with m
     tours survives while ``c + extra[m] <= slack``, where ``slack`` is UB
     minus the flow bound of the edges not yet charged and ``extra[m]`` is the
-    path term of node v. ``over`` is the least amount by which a cut state's
-    bound exceeded UB in this round, or None if nothing was cut, and
+    path term of node v, built once per node and kept across rounds, as it
+    does not depend on UB. ``over`` is the least amount by which a cut
+    state's bound exceeded UB in this round, or None if nothing was cut, and
     ``rounds`` counts the rounds opened.
     """
 
@@ -200,6 +213,7 @@ class _Bound:
         # every tour holds a token or a pad, so no node holds more tours
         self.tour_cap = [d + pad_cap * s for d, s in
                          zip(inst.subtree_demand, inst.subtree_sizes())]
+        self.terms: list[list | None] = [None] * inst.n
 
     def start(self, t: int) -> None:
         self.lb = self.ub = self.below[t]
@@ -213,7 +227,9 @@ class _Bound:
 
     def enter(self, v: int) -> None:
         self.slack = self.ub - self.lb
-        self.extra = self._path_term(v)
+        if self.terms[v] is None:
+            self.terms[v] = self._path_term(v)
+        self.extra = self.terms[v]
 
     def folded(self, u: int) -> None:
         self.slack += self.below[u]
@@ -235,7 +251,8 @@ class _Bound:
         return list(accumulate(accumulate(step)))
 
     def most_tours(self, cost) -> int:
-        """The most tours a state of this cost may hold; -1 if none."""
+        """The most tours a state of this cost may hold; -1 if none. As
+        ``extra`` never decreases, ``keeps(cost, m)`` is ``m <= most``."""
         return bisect.bisect_right(self.extra, self.slack - cost) - 1
 
     def keeps(self, cost, tours: int) -> bool:
@@ -260,7 +277,8 @@ def merge_child_table(acc: Table, child: Table, capacity: int, budget: int,
     the node's own tokens and pads are its last child, the table of
     ``_own_tokens``, and each existing tour takes at most one of their parts.
     A pair and every branch of its enumeration are dropped once they hold
-    more tours than ``bound`` allows.
+    more tours than ``bound.most_tours`` allows at the pair's cost; each pair
+    records its least overshoot once (module docstring).
     """
     out: Table = {}
 
@@ -285,8 +303,7 @@ def merge_child_table(acc: Table, child: Table, capacity: int, budget: int,
             if merged <= capacity:
                 assign(i + 1, cur[:s] + (merged,) + cur[s + 1:],
                        used | 1 << s, s)
-        # below ``most`` one more tour is surely kept
-        if len(cur) < most or bound.keeps(base, len(cur) + 1):
+        if len(cur) < most:
             assign(i + 1, cur + (t,), used, n)
 
     try:
@@ -294,12 +311,16 @@ def merge_child_table(acc: Table, child: Table, capacity: int, budget: int,
             n = len(k_acc)
             for k_ch, (c_ch, b_ch) in child.items():
                 base, m = c_acc + c_ch, len(k_ch)
-                # the result holds max(n, m) tours to their sum
-                if not bound.keeps(base, max(n, m)):
-                    continue
                 most = bound.most_tours(base)
+                # the result holds max(n, m) tours to their sum
+                if max(n, m) > most:
+                    bound.keeps(base, max(n, m))  # records the overshoot
+                    continue
+                if n + m > most:  # its all-new branch is cut at most + 1
+                    bound.keeps(base, most + 1)
                 assign(0, k_acc, 0, 0)
-                _check_budget(out, budget, node)
+                if len(out) > budget:
+                    raise _over_budget(budget, node)
     finally:
         del assign  # it refers to itself: free it now, not at a GC pass
     return out
@@ -453,9 +474,13 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
                 acc, table.pop(u), inst.capacity, budget, v, bound)
             states += len(acc)
         own = _own_tokens(v, inst.demand[v], inst.capacity, bound.pad_cap)
-        if acc is None:
-            acc = {k: e for k, e in own.items() if bound.keeps(e[0], len(k))}
-            _check_budget(acc, budget, v)
+        if acc is None:  # a leaf: every own entry costs 0
+            most = bound.most_tours(0)
+            acc = {k: e for k, e in own.items() if len(k) <= most}
+            if len(acc) < len(own):  # the shortest cut key overshoots least
+                bound.keeps(0, min(len(k) for k in own if len(k) > most))
+            if len(acc) > budget:
+                raise _over_budget(budget, v)
         elif inst.demand[v] or bound.pad_cap:  # else the fold is the identity
             acc = merge_child_table(acc, own, inst.capacity, budget, v, bound)
         if node_filter is not None:
@@ -490,8 +515,14 @@ class BicriteriaResult:
 def default_eps_prime(inst: TreeInstance, eps: Fraction | float) -> Fraction:
     """min(eps^2/log2(n)^2, eps/height), exact: a float underflows to 0 for
     a tiny eps."""
-    log_n, eps = Fraction(math.log2(max(inst.n, 2))), Fraction(eps)
-    return min(eps ** 2 / log_n ** 2, eps / max(inst.height, 1))
+    return _eps_prime(inst.n, inst.height, eps)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _eps_prime(n: int, height: int, eps: Fraction | float) -> Fraction:
+    """``default_eps_prime``, cached per (n, height, eps)."""
+    log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
+    return min(eps ** 2 / log_n ** 2, eps / max(height, 1))
 
 
 def _load_cap(inst: TreeInstance, sigma: tuple[int, ...]) -> int:
@@ -518,8 +549,8 @@ def _rounding_filter(sigma: tuple[int, ...]):
     return node_filter
 
 
-def solve_bicriteria(inst: TreeInstance, eps: float,
-                     eps_prime: float | None = None,
+def solve_bicriteria(inst: TreeInstance, eps: Fraction | float,
+                     eps_prime: Fraction | float | None = None,
                      max_states: int = 200_000,
                      stats: dict | None = None) -> BicriteriaResult:
     """Cost never above the optimum; loads may exceed Q by ~(1+eps').
@@ -551,10 +582,10 @@ def solve_bicriteria(inst: TreeInstance, eps: float,
 
 def _structure_filter(params: DPParams):
     """``solve_structured``'s node filter: keep the structured profiles."""
+    admits, gamma, groups = params.schedule.admits, params.gamma, params.groups
+
     def node_filter(acc: Table) -> Table:
-        return {k: e for k, e in acc.items()
-                if all(ok for _, ok in params.schedule.bucket_rule(
-                    k, params.gamma, params.groups).values())}
+        return {k: e for k, e in acc.items() if admits(k, gamma, groups)}
     return node_filter
 
 

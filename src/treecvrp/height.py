@@ -69,7 +69,8 @@ def decompose_paths(inst: TreeInstance) -> PathDecomposition:
         tuple(node_level))
 
 
-def select_anchors(weights: list[Weight], eps: float) -> list[int]:
+def select_anchors(weights: list[Weight],
+                   eps: Fraction | float) -> list[int]:
     """Anchor positions on a path given its consecutive edge weights.
 
     ``weights[i]`` is the weight of the edge between path nodes i and i+1.
@@ -111,19 +112,24 @@ class ReducedTree:
 
 def path_length_trigger(n: int, eps: Fraction | float) -> int:
     """floor(log2(n)/eps), exact, so that a tiny eps does not divide by a
-    float 0; a path of k edges triggers when k exceeds it."""
-    return math.floor(Fraction(math.log2(max(n, 2))) / Fraction(eps))
+    float 0; a path of k edges triggers when k exceeds it. A float eps counts
+    as the decimal it prints: 0.1 is 1/10."""
+    return math.floor(Fraction(math.log2(max(n, 2))) / Fraction(str(eps)))
 
 
-def build_reduced_tree(inst: TreeInstance, eps: float) -> ReducedTree:
+def build_reduced_tree(inst: TreeInstance,
+                       eps: Fraction | float) -> ReducedTree:
     """Compress every D-path longer than ``path_length_trigger`` edges.
 
-    Returns ``ReducedTree(inst, inst, ())`` when no edge is zeroed: an anchor
-    step of one edge writes back the same parent and weight, so the tree is
-    unchanged and ``inst`` comes back.
+    A float eps counts as the decimal it prints, as in the trigger, so 0.1
+    and ``Fraction(1, 10)`` reduce a tree the same way. Returns
+    ``ReducedTree(inst, inst, ())`` when no edge is zeroed: an anchor step of
+    one edge writes back the same parent and weight, so the tree is unchanged
+    and ``inst`` comes back.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    eps = Fraction(str(eps))
     decomp = decompose_paths(inst)
     parent = list(inst.parent)
     weight = list(inst.weight)

@@ -16,6 +16,7 @@ tour, and ``report.pad_tokens`` counts them.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from collections import Counter, defaultdict
@@ -49,6 +50,34 @@ class ThresholdSchedule:
             raise ValueError(f"coverage {size} outside [1, {self.capacity}]")
         return bisect.bisect_right(self.sigma, size) - 1
 
+    @functools.cached_property
+    def _bucket_table(self) -> tuple[int, ...]:
+        """``bucket_of(s)`` at index s for s in [1, Q]; index 0 is unused."""
+        return (-1,) + tuple(bisect.bisect_right(self.sigma, s) - 1
+                             for s in range(1, self.capacity + 1))
+
+    def admits(self, sorted_sizes: Sequence[int], gamma: int,
+               groups: int) -> bool:
+        """Whether every bucket of these ascending sizes in [1, Q] is
+        admissible under ``bucket_rule``, in one pass: a bucket's sizes form
+        one run, and a run of more than ``gamma`` sizes may hold at most
+        ``groups`` distinct ones."""
+        if len(sorted_sizes) <= gamma:
+            return True
+        table = self._bucket_table
+        run, tours, distinct, prev = -1, 0, 0, 0
+        for s in sorted_sizes:
+            b = table[s]
+            if b != run:
+                if tours > gamma and distinct > groups:
+                    return False
+                run, tours, distinct = b, 0, 0
+            tours += 1
+            if s != prev:
+                distinct += 1
+                prev = s
+        return tours <= gamma or distinct <= groups
+
     def bucket_rule(self, sizes: Iterable[int], gamma: int,
                     groups: int) -> dict[int, tuple[int, bool]]:
         """The structure rule on the partial-tour sizes at one node.
@@ -67,7 +96,11 @@ class ThresholdSchedule:
         return out
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def thresholds(capacity: int, eps: Fraction | float) -> ThresholdSchedule:
+    """The bucket thresholds 1..ceil(1/eps), then each step times (1+eps)
+    rounded up, up to Q; cached per (Q, eps), keeping a float and a
+    ``Fraction`` eps apart."""
     if capacity < 1 or eps <= 0:
         raise ValueError("need Q >= 1 and eps > 0")
     head = math.ceil(1 / eps)
@@ -86,10 +119,16 @@ class TransformParams:
     def defaults(cls, n: int, eps: Fraction | float) -> "TransformParams":
         """gamma = ceil(log2(n)^3/eps^2) and g = ceil(2*log2(n)/eps^2), at
         least 1, in exact arithmetic: a float eps**2 is 0 for a tiny eps."""
-        log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
-        gamma = max(1, math.ceil(log_n ** 3 / eps ** 2))
-        g = max(1, math.ceil(2 * log_n / eps ** 2))
-        return cls(gamma, g)
+        return cls(*_default_params(n, eps))
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _default_params(n: int, eps: Fraction | float) -> tuple[int, int]:
+    """(gamma, g) of ``TransformParams.defaults``, cached per (n, eps)."""
+    log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
+    gamma = max(1, math.ceil(log_n ** 3 / eps ** 2))
+    g = max(1, math.ceil(2 * log_n / eps ** 2))
+    return gamma, g
 
 
 def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],

@@ -25,6 +25,11 @@ it sorts each tour's nodes by preorder position and walks a node-indexed
 heavy-path ``head`` (``heavy_paths_reference``) for each LCA.
 ``treecvrp.verify.check_feasible`` must report exactly what it reports.
 
+``merge_reference`` is the profile DP's fold with the bound tested on every
+state: each pair, and each new tour of every assignment of the child's tours
+to accumulated tours. ``treecvrp.dp.merge_child_table`` must reach the same
+keys at the same costs and leave the bound's ``over`` where it leaves it.
+
 ``Unbounded`` is the deepening bound at UB = infinity, which cuts nothing:
 ``treecvrp.dp._sweep`` run with it is the unpruned profile DP that the
 bound-pruned solvers must agree with. ``NoCut`` is a fold bound that keeps
@@ -317,3 +322,30 @@ class NoCut:
 
     def most_tours(self, cost):
         return math.inf
+
+
+def merge_reference(acc, child, capacity, bound):
+    """The fold's {key: cost}, with ``bound.keeps`` asked of every pair and
+    every new tour, and each child tour tried in every free slot."""
+    out = {}
+
+    def assign(k_ch, i, cur, used, base):
+        if i == len(k_ch):
+            key = tuple(sorted(cur))
+            out[key] = min(out.get(key, base), base)
+            return
+        t = k_ch[i]
+        for s in range(n):  # the accumulated tours; new ones take no more
+            if not used >> s & 1 and cur[s] + t <= capacity:
+                assign(k_ch, i + 1, cur[:s] + (cur[s] + t,) + cur[s + 1:],
+                       used | 1 << s, base)
+        if bound.keeps(base, len(cur) + 1):
+            assign(k_ch, i + 1, cur + (t,), used, base)
+
+    for k_acc, (c_acc, _) in acc.items():
+        n = len(k_acc)
+        for k_ch, (c_ch, _) in child.items():
+            base = c_acc + c_ch
+            if bound.keeps(base, max(n, len(k_ch))):
+                assign(k_ch, 0, k_acc, 0, base)
+    return out

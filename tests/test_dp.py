@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +26,7 @@ from treecvrp.verify import check_feasible
 
 from conftest import random_instance
 from consistency import brute_consistent, check_consistency
-from oracle import NoCut, Unbounded, solve_residual
+from oracle import NoCut, Unbounded, merge_reference, solve_residual
 
 STAR = TreeInstance((-1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), 2)
 
@@ -605,6 +607,88 @@ class TestBoundPruning:
                                 for e in path)
                             for m in range(bound.tour_cap[v] + 1)]
 
+    def test_path_term_built_once_per_node_and_solve(self, monkeypatch):
+        # the roadmap hub takes two rounds; the path terms do not depend on
+        # UB, so each node's is built once, in the first
+        calls, term = [], _Bound._path_term
+
+        def spy(self, v):
+            calls.append(v)
+            return term(self, v)
+
+        monkeypatch.setattr(_Bound, "_path_term", spy)
+        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 10, 9, 9, 9),
+                            (0, 0, 2, 2, 2), 3)
+        stats = {}
+        solve_structured(inst, stats=stats)
+        assert stats["rounds"] == 2
+        assert sorted(calls) == [1, 2, 3, 4]
+
+    def test_keeps_is_most_tours_and_fold_over_is_the_references(self):
+        # on random bounds, keeps(c, m) holds exactly for m <= most_tours(c),
+        # and a fold leaves the keys, costs and least overshoot of the fold
+        # that asks the bound about every pair and every new tour
+        rng = random.Random(7)
+        cut = kept = 0
+        for trial in range(60):
+            base = generate(("random", "binary", "star")[trial % 3], 12, 4,
+                            "heavy", trial)
+            inst = base if trial % 2 else TreeInstance(
+                base.parent, tuple(Fraction(w, 3) for w in base.weight),
+                base.demand, base.capacity)
+            bound = _Bound(inst, trial % 2, rng.choice((4, 6)))
+            v = max(range(1, inst.n), key=lambda u: bound.tour_cap[u])
+            t = v
+            while inst.parent[t]:
+                t = inst.parent[t]
+            bound.start(t)
+            bound.ub += rng.randint(0, 40)
+            bound.enter(v)
+            for u in inst.children[v][:rng.randint(0, 2)]:
+                bound.folded(u)
+            top = bound.slack + bound.extra[-1]
+            # random costs, and each cost at which m tours are just kept
+            for c in ([Fraction(rng.randint(-20, 20), 20) * top
+                       for _ in range(20)]
+                      + [bound.slack - x for x in bound.extra]):
+                most = bound.most_tours(c)
+                for m in range(len(bound.extra)):
+                    assert bound.keeps(c, m) == (m <= most)
+            half = bound.tour_cap[v] // 2
+
+            def table():
+                return {tuple(sorted(rng.randint(1, inst.capacity)
+                                     for _ in range(rng.randint(0, half)))):
+                        (rng.randint(0, max(0, math.floor(top))), None)
+                        for _ in range(rng.randint(1, 5))}
+
+            acc, child = table(), table()
+            ours, theirs = copy.copy(bound), copy.copy(bound)
+            ours.over = theirs.over = None
+            out = merge_child_table(acc, child, inst.capacity, 10 ** 6, v,
+                                    ours)
+            assert {k: c for k, (c, _) in out.items()} == merge_reference(
+                acc, child, inst.capacity, theirs)
+            assert ours.over == theirs.over
+            cut += ours.over is not None
+            kept += bool(out)
+        assert cut > 10 and kept > 10
+
+    def test_coarse_leaf_records_its_shortest_cut_key(self):
+        # at a load cap L = 6 > Q = 2 one tour may cross the leaf edge, so the
+        # first round keeps at most one tour there; every own key of six
+        # tokens holds at least three, and the least overshoot is that of
+        # (2, 2, 2), two tours over need, not of a two-tour key
+        inst = TreeInstance((-1, 0), (0, 3), (0, 6), 2)
+        bound = _Bound(inst, 0, 6)
+        bound.start(1)
+        assert dp._sweep_subtree(inst, (1,), None, 100, bound) is None
+        assert bound.most_tours(0) == 1
+        assert bound.over == 2 * 3 * 2
+        bound.deepen()
+        table, _ = dp._sweep_subtree(inst, (1,), None, 100, bound)
+        assert table == {(2, 2, 2): (18, (1, 6))}
+
 
 def sweep_outcome(inst, node_filter, pad_cap, load_cap, budget):
     """(cost, states, rounds, canonical solution) of one sweep, or the
@@ -660,15 +744,15 @@ class TestSkippedWork:
                 inst, _rounding_filter(tuple(range(1, q + 1))), 0, q, 200_000)
         assert skipped >= 2 * len(family)
 
-    def test_bucket_rule_runs_only_where_it_can_act(self, monkeypatch):
+    def test_admits_runs_only_where_it_can_act(self, monkeypatch):
         calls = []
-        rule = ThresholdSchedule.bucket_rule
+        rule = ThresholdSchedule.admits
 
         def spy(self, *args):
             calls.append(args)
             return rule(self, *args)
 
-        monkeypatch.setattr(ThresholdSchedule, "bucket_rule", spy)
+        monkeypatch.setattr(ThresholdSchedule, "admits", spy)
         inst = hub_tree(0, 2, 5, (1, 3), 14)
         generous = solve_structured(inst)
         assert calls == []

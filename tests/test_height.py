@@ -246,6 +246,22 @@ class TestReducedTree:
         assert path_length_trigger(1000, Fraction(1, 2)) == 19
         assert path_length_trigger(4, Fraction(1, 10 ** 400)) == 2 * 10 ** 400
 
+    @pytest.mark.parametrize("edges", [100, 101])
+    def test_float_eps_is_its_decimal(self, edges):
+        # the float 0.1 is just above 1/10; read as the decimal it prints,
+        # it gives the trigger 100 at n = 1024 that 1/10 gives, so a
+        # 100-edge D-path stays and a 101-edge one is compressed at both
+        n = 1024
+        parent = (-1,) + tuple(range(edges)) + (0,) * (n - edges - 1)
+        inst = TreeInstance(parent, (0,) + (1,) * (n - 1),
+                            (0,) * edges + (1,) + (0,) * (n - edges - 1), 1)
+        assert path_length_trigger(n, 0.1) == 100
+        decimal, exact = (build_reduced_tree(inst, eps)
+                          for eps in (0.1, Fraction(1, 10)))
+        assert decimal.tree == exact.tree
+        assert decimal.zeroed_edges == exact.zeroed_edges
+        assert bool(exact.zeroed_edges) == (edges > 100)
+
     def test_anchor_distance_preserved(self):
         # the leaf is always an anchor; its depot distance is exact
         inst = long_path(40)

@@ -93,6 +93,34 @@ class TestThresholds:
         assert sched.bucket_rule([8, 8], gamma=2, groups=0) == {4: (1, True)}
         assert sched.bucket_rule([], gamma=0, groups=0) == {}
 
+    @given(st.integers(1, 20),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2),
+                            Fraction(1), Fraction(2), 0.5]),
+           st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_admits_is_bucket_rule(self, q, eps, gamma, groups, data):
+        sched = thresholds(q, eps)
+        sizes = data.draw(st.lists(st.integers(1, q), max_size=12))
+        assert sched.admits(sorted(sizes), gamma, groups) == all(
+            ok for _, ok in sched.bucket_rule(sizes, gamma, groups).values())
+
+    def test_admits_by_hand(self):
+        sched = thresholds(10, 0.5)  # buckets as in test_bucket_rule_by_hand
+        assert not sched.admits((1, 5, 6, 7, 8, 8), gamma=2, groups=2)
+        assert sched.admits((1, 5, 6, 7, 8, 8), gamma=3, groups=2)
+        assert sched.admits((1, 5, 6, 7, 8, 8), gamma=1, groups=3)
+        # the last run is checked too
+        assert not sched.admits((1, 8, 9), gamma=1, groups=1)
+        assert sched.admits((), gamma=0, groups=0)
+
+    def test_cached_per_capacity_and_eps_type(self):
+        # a float eps and the Fraction of the same value give equal grids
+        # but keep their own eps
+        half = thresholds(8, Fraction(1, 2))
+        assert thresholds(8, Fraction(1, 2)) is half
+        assert thresholds(8, 0.5).sigma == half.sigma
+        assert type(thresholds(8, 0.5).eps) is float
+        assert type(half.eps) is Fraction
+
 
 class TestParams:
     def test_default_formulas(self):
