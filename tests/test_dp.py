@@ -624,7 +624,7 @@ class TestBoundPruning:
         assert stats["rounds"] == 2
         assert sorted(calls) == [1, 2, 3, 4]
 
-    def test_keeps_is_most_tours_and_fold_over_is_the_references(self):
+    def test_keeps_is_most_tours_and_fold_matches_reference(self):
         # on random bounds, keeps(c, m) holds exactly for m <= most_tours(c),
         # and a fold leaves the keys, costs and least overshoot of the fold
         # that asks the bound about every pair and every new tour
