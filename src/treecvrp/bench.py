@@ -32,6 +32,7 @@ from .dp import (DPParams, NoStructuredSolutionError, ResourceLimitError,
                  solve_bicriteria, solve_structured)
 from .exact import OracleSizeError, solve_exact
 from .generate import check_args, generate
+from .instance import as_fraction
 from .verify import check_feasible
 
 CSV_VERSION = 1
@@ -137,7 +138,7 @@ def positive_fraction(value) -> Fraction | None:
     """``value`` as an exact ``Fraction`` if it spells a positive number
     (``0.1`` is 1/10), else None."""
     try:
-        value = Fraction(str(value))
+        value = as_fraction(value)
     except (ValueError, ZeroDivisionError):
         return None
     return value if value > 0 else None

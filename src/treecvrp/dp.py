@@ -66,18 +66,21 @@ distinct above it), so the edges from v up to t are crossed at least m
 times. A fold cuts a state, or a branch of its enumeration, as soon as
 lb > UB; a leaf cuts the states of its own-token table the same way.
 
-The path term does not depend on UB, so ``_Bound`` builds it once per node
-and solve and keeps it across rounds. It never decreases in m, so a state of
-cost c survives with m tours exactly when m <= most(c), the largest m with
-lb <= UB, found by one bisection: a fold finds most(c) once per pair and
-compares tour counts with it. A round records ``over``, the least amount by
-which a cut state's lb exceeds UB, and it must stay the least. A cut pair
-records its own overshoot. A kept pair whose enumeration can exceed most(c)
-records the overshoot at most(c) + 1 tours, which its all-new-tours branch
-reaches first. A leaf's entries all cost 0, so it keeps the keys of at most
-most(0) tours and records the overshoot of the shortest key it cut. That key
-need not have most(0) + 1 tours: on a coarse bicriteria grid L > Q, and even
-the keys of ceil(d/Q) tours may be cut.
+The path term never decreases in m, so a state of cost c survives with m
+tours exactly when m <= most(c), the largest m with lb <= UB, found by one
+bisection: a fold finds most(c) once per pair and compares tour counts with
+it. A round records ``over``, the least amount by which a cut state's lb
+exceeds UB, and it must stay the least. A cut pair records its own
+overshoot. A kept pair whose enumeration can exceed most(c) records the
+overshoot at most(c) + 1 tours, which its all-new-tours branch reaches
+first. A leaf's entries all cost 0, so it keeps the keys of at most most(0)
+tours and records the overshoot of the shortest key it cut. That key need
+not have most(0) + 1 tours: on a coarse bicriteria grid L > Q, and even the
+keys of ceil(d/Q) tours may be cut. A leaf's d tokens and up to pad_cap pads
+make keys of every tour count from ceil(d/Q) to d + pad_cap, so the shortest
+cut key has max(most(0) + 1, ceil(d/Q)) tours. The path term is rebuilt
+each time a round enters a node, not kept across rounds: kept per node, the
+terms of a deep path hold about n*D entries at once.
 
 A node's first child c is not folded: its table met the state budget at c,
 and each charged entry already meets the cut. In ``_Bound``'s terms, one of
@@ -126,7 +129,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .baselines import flow_need
-from .instance import Solution, Tour, TreeInstance, Weight
+from .instance import Solution, Tour, TreeInstance, Weight, as_fraction
 from .structure import ThresholdSchedule, TransformParams, thresholds
 
 
@@ -174,6 +177,7 @@ class DPParams:
     @classmethod
     def defaults(cls, inst: TreeInstance, eps: Fraction | float,
                  pad_cap: int = 0) -> "DPParams":
+        eps = as_fraction(eps)  # once, not in each of the two calls below
         tp = TransformParams.defaults(inst.n, eps)
         return cls(gamma=tp.gamma, groups=tp.groups,
                    schedule=thresholds(inst.capacity, eps), pad_cap=pad_cap)
@@ -197,9 +201,8 @@ class _Bound:
     the flow bound into the folded cost. In between, a state of cost c with m
     tours survives while ``c + extra[m] <= slack``, where ``slack`` is UB
     minus the flow bound of the edges not yet charged and ``extra[m]`` is the
-    path term of node v, built once per node and kept across rounds, as it
-    does not depend on UB. ``over`` is the least amount by which a cut
-    state's bound exceeded UB in this round, or None if nothing was cut, and
+    path term of node v. ``over`` is the least amount by which a cut state's
+    bound exceeded UB in this round, or None if nothing was cut, and
     ``rounds`` counts the rounds opened.
     """
 
@@ -213,7 +216,6 @@ class _Bound:
         # every tour holds a token or a pad, so no node holds more tours
         self.tour_cap = [d + pad_cap * s for d, s in
                          zip(inst.subtree_demand, inst.subtree_sizes())]
-        self.terms: list[list | None] = [None] * inst.n
 
     def start(self, t: int) -> None:
         self.lb = self.ub = self.below[t]
@@ -227,9 +229,7 @@ class _Bound:
 
     def enter(self, v: int) -> None:
         self.slack = self.ub - self.lb
-        if self.terms[v] is None:
-            self.terms[v] = self._path_term(v)
-        self.extra = self.terms[v]
+        self.extra = self._path_term(v)
 
     def folded(self, u: int) -> None:
         self.slack += self.below[u]
@@ -475,10 +475,13 @@ def _sweep_subtree(inst: TreeInstance, nodes: tuple[int, ...], node_filter,
             states += len(acc)
         own = _own_tokens(v, inst.demand[v], inst.capacity, bound.pad_cap)
         if acc is None:  # a leaf: every own entry costs 0
-            most = bound.most_tours(0)
-            acc = {k: e for k, e in own.items() if len(k) <= most}
-            if len(acc) < len(own):  # the shortest cut key overshoots least
-                bound.keeps(0, min(len(k) for k in own if len(k) > most))
+            d, most = inst.demand[v], bound.most_tours(0)
+            if most < d + bound.pad_cap:
+                acc = {k: e for k, e in own.items() if len(k) <= most}
+                # the shortest cut key overshoots least
+                bound.keeps(0, max(most + 1, -(-d // inst.capacity)))
+            else:
+                acc = own
             if len(acc) > budget:
                 raise _over_budget(budget, v)
         elif inst.demand[v] or bound.pad_cap:  # else the fold is the identity
@@ -514,15 +517,15 @@ class BicriteriaResult:
 
 def default_eps_prime(inst: TreeInstance, eps: Fraction | float) -> Fraction:
     """min(eps^2/log2(n)^2, eps/height), exact: a float underflows to 0 for
-    a tiny eps."""
-    return _eps_prime(inst.n, inst.height, eps)
-
-
-@functools.lru_cache(maxsize=1024, typed=True)
-def _eps_prime(n: int, height: int, eps: Fraction | float) -> Fraction:
-    """``default_eps_prime``, cached per (n, height, eps)."""
-    log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
-    return min(eps ** 2 / log_n ** 2, eps / max(height, 1))
+    a tiny eps. In integers on log2(n) = a/b and eps = p/q, the first is the
+    smaller when p*b^2*height <= q*a^2. A float eps counts as the decimal it
+    prints (``as_fraction``)."""
+    a, b = math.log2(max(inst.n, 2)).as_integer_ratio()
+    eps = as_fraction(eps)
+    p, q, h = eps.numerator, eps.denominator, max(inst.height, 1)
+    if p * b * b * h <= q * a * a:
+        return Fraction(p * p * b * b, q * q * a * a)
+    return Fraction(p, q * h)
 
 
 def _load_cap(inst: TreeInstance, sigma: tuple[int, ...]) -> int:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Solution, TreeInstance, Weight
+from .instance import Solution, TreeInstance, Weight, as_fraction
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,14 @@ def select_anchors(weights: list[Weight],
 
     ``weights[i]`` is the weight of the edge between path nodes i and i+1.
     Returns indices into the node list; index 0 and the last node are always
-    anchors, index 1 is the second anchor.
+    anchors, index 1 is the second anchor. A float eps counts as the decimal
+    it prints (``as_fraction``).
     """
     k = len(weights)  # number of edges; nodes are 0..k
     if k == 0:
         return [0]
+    eps = as_fraction(eps)
+    integral = all(isinstance(w, int) for w in weights)
     prefix = [0]
     for w in weights:
         prefix.append(prefix[-1] + w)
@@ -87,6 +90,8 @@ def select_anchors(weights: list[Weight],
     while anchors[-1] < k:
         a = anchors[-1]
         budget = eps * prefix[a]
+        if integral:  # an int weight fits the budget iff it fits its floor
+            budget = math.floor(budget)
         # farthest j such that the weight from a to the node before j fits
         j = a + 1
         while j < k and prefix[j] - prefix[a] <= budget:
@@ -113,8 +118,8 @@ class ReducedTree:
 def path_length_trigger(n: int, eps: Fraction | float) -> int:
     """floor(log2(n)/eps), exact, so that a tiny eps does not divide by a
     float 0; a path of k edges triggers when k exceeds it. A float eps counts
-    as the decimal it prints: 0.1 is 1/10."""
-    return math.floor(Fraction(math.log2(max(n, 2))) / Fraction(str(eps)))
+    as the decimal it prints: 0.1 is 1/10 (``as_fraction``)."""
+    return math.floor(Fraction(math.log2(max(n, 2))) / as_fraction(eps))
 
 
 def build_reduced_tree(inst: TreeInstance,
@@ -129,7 +134,7 @@ def build_reduced_tree(inst: TreeInstance,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    eps = Fraction(str(eps))
+    eps = as_fraction(eps)
     decomp = decompose_paths(inst)
     parent = list(inst.parent)
     weight = list(inst.weight)

@@ -28,6 +28,13 @@ def _as_weight(value: Weight) -> Weight:
     return value
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as an exact ``Fraction``; a float counts as the decimal it
+    prints, so 0.1 is 1/10, not its binary value. Every function that makes
+    an eps exact reads it through this."""
+    return value if isinstance(value, Fraction) else Fraction(str(value))
+
+
 @dataclass(frozen=True)
 class TreeInstance:
     """A rooted edge-weighted tree with token demands and vehicle capacity.

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .instance import (Solution, Tour, TreeInstance, Weight, _as_weight,
-                       tour_cost)
+                       as_fraction, tour_cost)
 
 
 class TransformInfeasible(RuntimeError):
@@ -41,7 +41,7 @@ class TransformInfeasible(RuntimeError):
 @dataclass(frozen=True)
 class ThresholdSchedule:
     sigma: tuple[int, ...]
-    eps: Fraction | float
+    eps: Fraction
     capacity: int
 
     def bucket_of(self, size: int) -> int:
@@ -96,17 +96,18 @@ class ThresholdSchedule:
         return out
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def thresholds(capacity: int, eps: Fraction | float) -> ThresholdSchedule:
     """The bucket thresholds 1..ceil(1/eps), then each step times (1+eps)
-    rounded up, up to Q; cached per (Q, eps), keeping a float and a
-    ``Fraction`` eps apart."""
+    rounded up, up to Q, exact: in integers on eps = p/q, where a float eps
+    counts as the decimal it prints (``as_fraction``), so 0.1 and 1/10 give
+    one grid."""
     if capacity < 1 or eps <= 0:
         raise ValueError("need Q >= 1 and eps > 0")
-    head = math.ceil(1 / eps)
-    sigma = list(range(1, min(head, capacity) + 1))
+    eps = as_fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    sigma = list(range(1, min(-(-q // p), capacity) + 1))
     while sigma[-1] < capacity:
-        sigma.append(min(capacity, math.ceil(sigma[-1] * (1 + eps))))
+        sigma.append(min(capacity, -(-sigma[-1] * (p + q) // q)))
     return ThresholdSchedule(tuple(sigma), eps, capacity)
 
 
@@ -118,17 +119,15 @@ class TransformParams:
     @classmethod
     def defaults(cls, n: int, eps: Fraction | float) -> "TransformParams":
         """gamma = ceil(log2(n)^3/eps^2) and g = ceil(2*log2(n)/eps^2), at
-        least 1, in exact arithmetic: a float eps**2 is 0 for a tiny eps."""
-        return cls(*_default_params(n, eps))
-
-
-@functools.lru_cache(maxsize=1024, typed=True)
-def _default_params(n: int, eps: Fraction | float) -> tuple[int, int]:
-    """(gamma, g) of ``TransformParams.defaults``, cached per (n, eps)."""
-    log_n, eps = Fraction(math.log2(max(n, 2))), Fraction(eps)
-    gamma = max(1, math.ceil(log_n ** 3 / eps ** 2))
-    g = max(1, math.ceil(2 * log_n / eps ** 2))
-    return gamma, g
+        least 1, exact: in integers on log2(n) = a/b and eps = p/q, as a
+        float eps**2 is 0 for a tiny eps. A float eps counts as the decimal
+        it prints (``as_fraction``)."""
+        a, b = math.log2(max(n, 2)).as_integer_ratio()
+        eps = as_fraction(eps)
+        p2, q2 = eps.numerator ** 2, eps.denominator ** 2
+        gamma = max(1, -(-a ** 3 * q2 // (b ** 3 * p2)))
+        g = max(1, -(-2 * a * q2 // (b * p2)))
+        return cls(gamma, g)
 
 
 def coverage(inst: TreeInstance, pickups: Sequence[Mapping[int, int]],

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +201,20 @@ class TestBicriteria:
         inst = random_instance(1, max_n=10)
         ep = default_eps_prime(inst, 0.5)
         assert ep <= 0.5 / inst.height
+
+    def test_default_eps_prime_reads_a_float_as_its_decimal(self):
+        inst = random_instance(1, max_n=10)
+        assert default_eps_prime(inst, 0.1) == default_eps_prime(
+            inst, Fraction(1, 10))
+
+    @given(st.integers(1, 10 ** 7), st.integers(0, 200),
+           st.fractions(Fraction(1, 10 ** 6), 10, max_denominator=10 ** 6))
+    def test_default_eps_prime_is_the_fraction_formula(self, n, height, eps):
+        log_n = Fraction(math.log2(max(n, 2)))
+        inst = SimpleNamespace(n=n, height=height)
+        ep = default_eps_prime(inst, eps)
+        assert type(ep) is Fraction
+        assert ep == min(eps ** 2 / log_n ** 2, eps / max(height, 1))
 
     def test_coarse_grid_can_overload(self):
         # coarse grids round sizes down once per non-depot level, so a load
@@ -606,23 +621,6 @@ class TestBoundPruning:
                             sum(2 * inst.weight[e] * max(0, m - bound.need[e])
                                 for e in path)
                             for m in range(bound.tour_cap[v] + 1)]
-
-    def test_path_term_built_once_per_node_and_solve(self, monkeypatch):
-        # the roadmap hub takes two rounds; the path terms do not depend on
-        # UB, so each node's is built once, in the first
-        calls, term = [], _Bound._path_term
-
-        def spy(self, v):
-            calls.append(v)
-            return term(self, v)
-
-        monkeypatch.setattr(_Bound, "_path_term", spy)
-        inst = TreeInstance((-1, 0, 1, 1, 1), (0, 10, 9, 9, 9),
-                            (0, 0, 2, 2, 2), 3)
-        stats = {}
-        solve_structured(inst, stats=stats)
-        assert stats["rounds"] == 2
-        assert sorted(calls) == [1, 2, 3, 4]
 
     def test_keeps_is_most_tours_and_fold_matches_reference(self):
         # on random bounds, keeps(c, m) holds exactly for m <= most_tours(c),

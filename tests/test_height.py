@@ -192,6 +192,21 @@ class TestAnchors:
         # the zero-weight stretch after anchor 1 compresses onto one anchor
         assert select_anchors([0, 0, 0, 1, 1], 0.5) == [0, 1, 4, 5]
 
+    @given(st.lists(st.integers(0, 9), max_size=40),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
+                            Fraction(2), 0.5]))
+    def test_int_weights_match_fraction_weights(self, w, eps):
+        # int weights are compared with the floor of the budget
+        assert select_anchors(w, eps) == select_anchors(
+            [Fraction(x) for x in w], eps)
+
+    def test_float_eps_budget_is_its_decimal(self):
+        # 0.3's binary value is below 3/10, so 3 would not fit 0.3 * 10
+        w = [10, 3, 1]
+        assert select_anchors(w, Fraction(3, 10)) == [0, 1, 3]
+        assert select_anchors(w, Fraction(0.3)) == [0, 1, 2, 3]
+        assert select_anchors(w, 0.3) == [0, 1, 3]
+
     def test_anchor_growth_and_count_bound(self):
         rng = random.Random(5)
         for _ in range(30):

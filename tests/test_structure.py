@@ -53,14 +53,31 @@ class TestThresholds:
 
     @given(st.integers(1, 10 ** 6), st.floats(0.05, 2.0))
     def test_properties(self, q, eps):
+        # a float eps is read as the decimal it prints
         sched = thresholds(q, eps)
-        sigma = sched.sigma
+        sigma, eps = sched.sigma, Fraction(str(eps))
+        assert sched.eps == eps
         assert sigma[0] == 1 and sigma[-1] == q
         assert all(a < b for a, b in zip(sigma, sigma[1:]))
         head = min(math.ceil(1 / eps), q)
         assert sigma[:head] == tuple(range(1, head + 1))
         for a, b in zip(sigma, sigma[1:]):
             assert b <= max(math.ceil(a * (1 + eps)), a + 1)
+
+    @given(st.integers(1, 2000),
+           st.fractions(Fraction(1, 100), 3, max_denominator=1000))
+    def test_is_the_fraction_formula(self, q, eps):
+        # the integer arithmetic gives the Fraction formulas' ceilings
+        sigma = list(range(1, min(math.ceil(1 / eps), q) + 1))
+        while sigma[-1] < q:
+            sigma.append(min(q, math.ceil(sigma[-1] * (1 + eps))))
+        assert thresholds(q, eps).sigma == tuple(sigma)
+
+    def test_float_eps_is_its_decimal(self):
+        # in floats, 170 * 1.1 is 187.00000000000003, so the float grid of
+        # 0.1 would skip 187
+        assert 187 in thresholds(188, Fraction(1, 10)).sigma
+        assert thresholds(188, 0.1) == thresholds(188, Fraction(1, 10))
 
     def test_length_bound(self):
         for q, eps in [(10, 0.5), (1000, 0.25), (10 ** 6, 0.1)]:
@@ -112,15 +129,6 @@ class TestThresholds:
         assert not sched.admits((1, 8, 9), gamma=1, groups=1)
         assert sched.admits((), gamma=0, groups=0)
 
-    def test_cached_per_capacity_and_eps_type(self):
-        # a float eps and the Fraction of the same value give equal grids
-        # but keep their own eps
-        half = thresholds(8, Fraction(1, 2))
-        assert thresholds(8, Fraction(1, 2)) is half
-        assert thresholds(8, 0.5).sigma == half.sigma
-        assert type(thresholds(8, 0.5).eps) is float
-        assert type(half.eps) is Fraction
-
 
 class TestParams:
     def test_default_formulas(self):
@@ -137,6 +145,15 @@ class TestParams:
         p = TransformParams.defaults(256, Fraction(1, 10 ** 400))
         assert p.gamma == 8 ** 3 * 10 ** 800
         assert p.groups == 2 * 8 * 10 ** 800
+
+    @given(st.integers(1, 10 ** 7),
+           st.fractions(Fraction(1, 10 ** 6), 10, max_denominator=10 ** 6))
+    def test_is_the_fraction_formula(self, n, eps):
+        # the integer arithmetic gives the Fraction formulas' ceilings
+        log_n = Fraction(math.log2(max(n, 2)))
+        p = TransformParams.defaults(n, eps)
+        assert p.gamma == max(1, math.ceil(log_n ** 3 / eps ** 2))
+        assert p.groups == max(1, math.ceil(2 * log_n / eps ** 2))
 
 
 class TestBucketViews:
