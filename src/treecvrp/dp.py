@@ -129,7 +129,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .baselines import flow_need
-from .instance import Solution, Tour, TreeInstance, Weight, as_fraction
+from .instance import (Solution, Tour, TreeInstance, Weight, as_fraction,
+                       log2_ratio)
 from .structure import ThresholdSchedule, TransformParams, thresholds
 
 
@@ -520,7 +521,7 @@ def default_eps_prime(inst: TreeInstance, eps: Fraction | float) -> Fraction:
     a tiny eps. In integers on log2(n) = a/b and eps = p/q, the first is the
     smaller when p*b^2*height <= q*a^2. A float eps counts as the decimal it
     prints (``as_fraction``)."""
-    a, b = math.log2(max(inst.n, 2)).as_integer_ratio()
+    a, b = log2_ratio(inst.n)
     eps = as_fraction(eps)
     p, q, h = eps.numerator, eps.denominator, max(inst.height, 1)
     if p * b * b * h <= q * a * a:
@@ -537,15 +538,15 @@ def _load_cap(inst: TreeInstance, sigma: tuple[int, ...]) -> int:
     return math.floor(inst.capacity * r ** (inst.height - 1))
 
 
-def _rounding_filter(sigma: tuple[int, ...]):
-    """``solve_bicriteria``'s node filter: round each size down to ``sigma``.
-
-    A moved key keeps its unrounded ``(key, back)`` as its back-pointer."""
+def _rounding_filter(schedule: ThresholdSchedule):
+    """``solve_bicriteria``'s node filter: round each size down to its
+    bucket's threshold, read from one size -> threshold table. A moved key
+    keeps its unrounded ``(key, back)`` as its back-pointer."""
+    down = [schedule.sigma[b] for b in schedule.bucket]  # index 0 unused
     def node_filter(acc: Table) -> Table:
         out: Table = {}
         for key, (cost, back) in acc.items():
-            rounded = tuple(sigma[bisect.bisect_right(sigma, size) - 1]
-                            for size in key)
+            rounded = tuple(map(down.__getitem__, key))
             if rounded not in out or cost < out[rounded][0]:
                 out[rounded] = (cost, back if rounded == key else (key, back))
         return out
@@ -572,12 +573,12 @@ def solve_bicriteria(inst: TreeInstance, eps: Fraction | float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     ep = eps_prime if eps_prime is not None else default_eps_prime(inst, eps)
-    sigma = thresholds(inst.capacity, ep).sigma
+    schedule = thresholds(inst.capacity, ep)
     # sigma rises strictly from 1 to Q, so it is 1..Q when it has Q steps
-    grid_exact = len(sigma) == inst.capacity
-    cost, tours = _sweep(inst, None if grid_exact else _rounding_filter(sigma),
-                         _Bound(inst, 0, _load_cap(inst, sigma)), max_states,
-                         stats)
+    grid_exact = len(schedule.sigma) == inst.capacity
+    cost, tours = _sweep(
+        inst, None if grid_exact else _rounding_filter(schedule),
+        _Bound(inst, 0, _load_cap(inst, schedule.sigma)), max_states, stats)
     sol = _to_solution(inst, tours)
     max_load = max((t.load for t in sol.tours), default=0)
     return BicriteriaResult(sol, ep, max_load, cost, grid_exact)
@@ -612,9 +613,11 @@ def solve_structured(inst: TreeInstance,
     cut, which changes neither the cost nor the solution. If ``stats`` is
     given, it gets the ``"states"`` (a subset of the unpruned DP's) and the
     ``"rounds"`` (at least one per depot child) that ``_sweep`` counts.
+    A ``params.schedule`` built for another capacity raises ``ValueError``.
     """
     if params is None:
         params = DPParams.generous(inst, eps)
+    params.schedule.require_capacity(inst.capacity)
     bound = _Bound(inst, params.pad_cap, inst.capacity)
     # no node holds more tours than the depot's cap: every bucket is small
     node_filter = (None if params.gamma >= bound.tour_cap[0]

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Solution, TreeInstance, Weight, as_fraction
+from .instance import (Solution, TreeInstance, Weight, as_fraction,
+                       log2_ratio)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def path_length_trigger(n: int, eps: Fraction | float) -> int:
     """floor(log2(n)/eps), exact, so that a tiny eps does not divide by a
     float 0; a path of k edges triggers when k exceeds it. A float eps counts
     as the decimal it prints: 0.1 is 1/10 (``as_fraction``)."""
-    return math.floor(Fraction(math.log2(max(n, 2))) / as_fraction(eps))
+    return math.floor(Fraction(*log2_ratio(n)) / as_fraction(eps))
 
 
 def build_reduced_tree(inst: TreeInstance,

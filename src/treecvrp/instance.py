@@ -8,6 +8,7 @@ walk through a pickup set is determined by the set, so no explicit walk is kept.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -33,6 +34,12 @@ def as_fraction(value) -> Fraction:
     prints, so 0.1 is 1/10, not its binary value. Every function that makes
     an eps exact reads it through this."""
     return value if isinstance(value, Fraction) else Fraction(str(value))
+
+
+def log2_ratio(n: int) -> tuple[int, int]:
+    """log2(max(n, 2)) as a/b in lowest terms, the float's exact value; every
+    exact formula in log2(n) reads it through this."""
+    return math.log2(max(n, 2)).as_integer_ratio()
 
 
 @dataclass(frozen=True)

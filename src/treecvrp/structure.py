@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import accumulate, groupby
+from typing import Callable, Mapping, Sequence
 
 from .instance import (Solution, Tour, TreeInstance, Weight, _as_weight,
-                       as_fraction, tour_cost)
+                       as_fraction, log2_ratio, tour_cost)
 
 
 class TransformInfeasible(RuntimeError):
@@ -50,21 +49,25 @@ class ThresholdSchedule:
             raise ValueError(f"coverage {size} outside [1, {self.capacity}]")
         return bisect.bisect_right(self.sigma, size) - 1
 
+    def require_capacity(self, capacity: int) -> None:
+        """Refuse an instance of another capacity than the schedule's."""
+        if capacity != self.capacity:
+            raise ValueError(f"schedule built for Q={self.capacity}, "
+                             f"instance has Q={capacity}")
+
     @functools.cached_property
-    def _bucket_table(self) -> tuple[int, ...]:
+    def bucket(self) -> tuple[int, ...]:
         """``bucket_of(s)`` at index s for s in [1, Q]; index 0 is unused."""
-        return (-1,) + tuple(bisect.bisect_right(self.sigma, s) - 1
-                             for s in range(1, self.capacity + 1))
+        return (-1,) + tuple(map(self.bucket_of, range(1, self.capacity + 1)))
 
     def admits(self, sorted_sizes: Sequence[int], gamma: int,
                groups: int) -> bool:
-        """Whether every bucket of these ascending sizes in [1, Q] is
-        admissible under ``bucket_rule``, in one pass: a bucket's sizes form
-        one run, and a run of more than ``gamma`` sizes may hold at most
-        ``groups`` distinct ones."""
+        """The structure rule on ascending sizes in [1, Q], in one pass: each
+        bucket holds at most ``gamma`` sizes or at most ``groups`` distinct
+        ones. The DP filters and ``profile_complexity`` reports by it."""
         if len(sorted_sizes) <= gamma:
             return True
-        table = self._bucket_table
+        table = self.bucket
         run, tours, distinct, prev = -1, 0, 0, 0
         for s in sorted_sizes:
             b = table[s]
@@ -77,23 +80,6 @@ class ThresholdSchedule:
                 distinct += 1
                 prev = s
         return tours <= gamma or distinct <= groups
-
-    def bucket_rule(self, sizes: Iterable[int], gamma: int,
-                    groups: int) -> dict[int, tuple[int, bool]]:
-        """The structure rule on the partial-tour sizes at one node.
-
-        Maps each occupied bucket, in order of first appearance, to its count
-        of distinct sizes and whether it is admissible: small (at most
-        ``gamma`` tours) or holding at most ``groups`` distinct sizes.
-        """
-        per_bucket: dict[int, list[int]] = defaultdict(list)
-        for s in sizes:
-            per_bucket[self.bucket_of(s)].append(s)
-        out = {}
-        for b, bucket_sizes in per_bucket.items():
-            d = len(set(bucket_sizes))
-            out[b] = (d, len(bucket_sizes) <= gamma or d <= groups)
-        return out
 
 
 def thresholds(capacity: int, eps: Fraction | float) -> ThresholdSchedule:
@@ -122,7 +108,7 @@ class TransformParams:
         least 1, exact: in integers on log2(n) = a/b and eps = p/q, as a
         float eps**2 is 0 for a tiny eps. A float eps counts as the decimal
         it prints (``as_fraction``)."""
-        a, b = math.log2(max(n, 2)).as_integer_ratio()
+        a, b = log2_ratio(n)
         eps = as_fraction(eps)
         p2, q2 = eps.numerator ** 2, eps.denominator ** 2
         gamma = max(1, -(-a ** 3 * q2 // (b ** 3 * p2)))
@@ -164,17 +150,15 @@ def _big_buckets(here: dict[int, int], schedule: ThresholdSchedule,
     The bucket's tours, ascending by (coverage, id) and led by null padding
     (``None``) up to a multiple of g, are cut into g equal groups.
     """
-    per_bucket: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for tid, cov in here.items():
-        per_bucket[schedule.bucket_of(cov)].append((cov, tid))
     out = []
-    for b in sorted(per_bucket):
-        entries = sorted(per_bucket[b])
-        m = len(entries)
+    for b, run in groupby(sorted((cov, tid) for tid, cov in here.items()),
+                          lambda entry: schedule.bucket_of(entry[0])):
+        tids = [tid for _, tid in run]
+        m = len(tids)
         if m <= gamma:
             continue
         per = -(-m // g)
-        padded = [None] * (per * g - m) + [tid for _, tid in entries]
+        padded = [None] * (per * g - m) + tids
         out.append((b, [padded[i * per:(i + 1) * per] for i in range(g)]))
     return out
 
@@ -371,16 +355,19 @@ class ComplexityReport:
 def profile_complexity(inst: TreeInstance, sol: Solution,
                        schedule: ThresholdSchedule,
                        params: TransformParams) -> ComplexityReport:
-    """Check the structured shape: small buckets few, big buckets few sizes."""
+    """Check the structured shape: each node's coverages, ascending, split
+    into one run per bucket; ``distinct_sizes[(v, b)]`` counts a run's distinct
+    sizes, and each run ``schedule.admits`` rejects is a violation, listed in
+    ascending bucket order at each node."""
+    schedule.require_capacity(inst.capacity)
     distinct: dict[tuple[int, int], int] = {}
     violations: list[str] = []
     cov = coverage(inst, [t.as_dict() for t in sol.tours])
     for v in range(1, inst.n):
-        shape = schedule.bucket_rule(cov[v].values(), params.gamma,
-                                     params.groups)
-        for b, (d, ok) in shape.items():
-            distinct[(v, b)] = d
-            if not ok:
+        for b, run in groupby(sorted(cov[v].values()), schedule.bucket_of):
+            run = tuple(run)
+            d = distinct[(v, b)] = len(set(run))
+            if not schedule.admits(run, params.gamma, params.groups):
                 violations.append(
                     f"node {v} bucket {b}: big bucket with {d} distinct sizes "
                     f"(> g={params.groups})")

@@ -30,6 +30,12 @@ state: each pair, and each new tour of every assignment of the child's tours
 to accumulated tours. ``treecvrp.dp.merge_child_table`` must reach the same
 keys at the same costs and leave the bound's ``over`` where it leaves it.
 
+``bucket_rule_reference`` is the structure rule bucket by bucket, through
+the checked ``ThresholdSchedule.bucket_of``: ``ThresholdSchedule.admits``
+must accept exactly the size multisets it finds admissible, and
+``treecvrp.structure.profile_complexity`` must report its counts and
+verdicts.
+
 ``Unbounded`` is the deepening bound at UB = infinity, which cuts nothing:
 ``treecvrp.dp._sweep`` run with it is the unpruned profile DP that the
 bound-pruned solvers must agree with. ``NoCut`` is a fold bound that keeps
@@ -39,6 +45,7 @@ hand.
 
 import math
 from array import array
+from collections import defaultdict
 
 from treecvrp.dp import _Bound
 from treecvrp.exact import OracleSizeError
@@ -303,6 +310,23 @@ def check_feasible_reference(inst, sol):
         violations.append(
             f"declared cost {sol.total_cost} != recomputed {cost}")
     return FeasibilityReport(not violations, cost, tuple(violations))
+
+
+def bucket_rule_reference(schedule, sizes, gamma, groups):
+    """The structure rule on the partial-tour sizes at one node.
+
+    Maps each occupied bucket, in order of first appearance, to its count
+    of distinct sizes and whether it is admissible: small (at most
+    ``gamma`` tours) or holding at most ``groups`` distinct sizes.
+    """
+    per_bucket = defaultdict(list)
+    for s in sizes:
+        per_bucket[schedule.bucket_of(s)].append(s)
+    out = {}
+    for b, bucket_sizes in per_bucket.items():
+        d = len(set(bucket_sizes))
+        out[b] = (d, len(bucket_sizes) <= gamma or d <= groups)
+    return out
 
 
 class Unbounded(_Bound):

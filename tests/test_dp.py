@@ -241,8 +241,9 @@ class TestBicriteria:
         for inst in coarse_family():
             for eps_prime in (0.25, 0.5, 1.0):
                 res = solve_bicriteria(inst, 0.5, eps_prime=eps_prime)
-                sigma = thresholds(inst.capacity, eps_prime).sigma
-                cost, tours = _sweep(inst, _rounding_filter(sigma),
+                schedule = thresholds(inst.capacity, eps_prime)
+                sigma = schedule.sigma
+                cost, tours = _sweep(inst, _rounding_filter(schedule),
                                      Unbounded(inst, 0, inst.capacity),
                                      10 ** 6)
                 loads = [t.load for t in _to_solution(inst, tours).tours]
@@ -267,7 +268,7 @@ class TestBicriteria:
         # (2,); the depot holds no frontier, so the inner node overflows
         inst = TreeInstance((-1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), 2)
         with pytest.raises(ResourceLimitError) as info:
-            _sweep(inst, _rounding_filter((1, 2)),
+            _sweep(inst, _rounding_filter(thresholds(2, 1)),
                    Unbounded(inst, 0, inst.capacity), 1)
         assert info.value.node == 1
 
@@ -294,6 +295,16 @@ class TestStructured:
         inst = TreeInstance((-1, 0, 1), (0, 2, 3), (0, 0, 1), 4)
         sol = solve_structured(inst, 0.5)
         assert sol.total_cost == 2 * 5
+
+    @pytest.mark.parametrize("q", [3, 9])
+    def test_refuses_a_schedule_of_another_capacity(self, q):
+        # a smaller Q's sizes would run past the bucket table; a larger Q's
+        # would bucket by the wrong grid
+        inst = hub_tree(0, 2, 5, (1, 3), 14)
+        assert inst.capacity == 5
+        params = DPParams(gamma=1, groups=1, schedule=thresholds(q, 0.5))
+        with pytest.raises(ValueError, match=f"Q={q}, instance has Q=5"):
+            solve_structured(inst, params=params)
 
     def test_generous_equals_exact(self):
         for seed in range(30):
@@ -471,7 +482,7 @@ class TestBoundPruning:
         # holds.
         inst = TreeInstance((-1, 0, 0, 1, 1, 2, 2), (0,) + (1,) * 6,
                             (0, 0, 0, 1, 1, 1, 1), 2)
-        rounding, seen = _rounding_filter((1, 2)), set()
+        rounding, seen = _rounding_filter(thresholds(2, 1)), set()
 
         def recording(acc):
             # the nodes whose tokens the filtered profiles carry
@@ -582,14 +593,14 @@ class TestBoundPruning:
                   + [hub_tree(seed, 2, 5, (1, 3), 14) for seed in range(10)])
         deepened = 0
         for inst in family:
-            sigmas = [thresholds(inst.capacity, ep).sigma for ep in
-                      (default_eps_prime(inst, 0.5), Fraction(1, 4))]
+            schedules = [thresholds(inst.capacity, ep) for ep in
+                         (default_eps_prime(inst, 0.5), Fraction(1, 4))]
             runs = [(_structure_filter(params), pad_cap, inst.capacity)
                     for pad_cap in (0, 1)
                     for params in (DPParams.generous(inst),
                                    DPParams.defaults(inst, 0.5, pad_cap))]
-            runs += [(_rounding_filter(sigma), 0, _load_cap(inst, sigma))
-                     for sigma in sigmas]
+            runs += [(_rounding_filter(sched), 0,
+                      _load_cap(inst, sched.sigma)) for sched in schedules]
             for node_filter, pad_cap, load_cap in runs:
                 bound = Checked(inst, pad_cap, load_cap, node_filter)
                 try:
@@ -739,7 +750,8 @@ class TestSkippedWork:
             solve_bicriteria(inst, 0.5)
             assert chosen[-1] is None  # the default grid is 1..Q here
             assert sweep_outcome(inst, None, 0, q, 200_000) == sweep_outcome(
-                inst, _rounding_filter(tuple(range(1, q + 1))), 0, q, 200_000)
+                inst, _rounding_filter(thresholds(q, Fraction(1, q))), 0, q,
+                200_000)
         assert skipped >= 2 * len(family)
 
     def test_admits_runs_only_where_it_can_act(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from treecvrp.structure import (
     TransformInfeasible, TransformParams, _big_buckets, _shift_bucket, coverage,
     profile_complexity, thresholds, transform)
 from treecvrp.verify import check_feasible
+
+from oracle import bucket_rule_reference
 
 
 def hub_instance(leaves=12, q=3):
@@ -97,18 +100,21 @@ class TestThresholds:
 
     def test_bucket_rule_by_hand(self):
         sched = thresholds(10, 0.5)  # sigma = 1,2,3,5,8,10
+
+        def rule(sizes, gamma, groups):
+            return bucket_rule_reference(sched, sizes, gamma, groups)
         # buckets: 5,6,7 -> 3 (three distinct); 8,8 -> 4; 1 -> 0
         sizes = [5, 8, 6, 1, 8, 7]
-        assert sched.bucket_rule(sizes, gamma=2, groups=2) == {
+        assert rule(sizes, gamma=2, groups=2) == {
             3: (3, False), 4: (1, True), 0: (1, True)}
         # three tours in bucket 3 are small once gamma reaches 3
-        assert sched.bucket_rule(sizes, gamma=3, groups=2)[3] == (3, True)
+        assert rule(sizes, gamma=3, groups=2)[3] == (3, True)
         # or admissible with g = 3 distinct sizes
-        assert sched.bucket_rule(sizes, gamma=1, groups=3)[3] == (3, True)
+        assert rule(sizes, gamma=1, groups=3)[3] == (3, True)
         # g = 0 admits only buckets of at most gamma tours
-        assert sched.bucket_rule([8, 8], gamma=1, groups=0) == {4: (1, False)}
-        assert sched.bucket_rule([8, 8], gamma=2, groups=0) == {4: (1, True)}
-        assert sched.bucket_rule([], gamma=0, groups=0) == {}
+        assert rule([8, 8], gamma=1, groups=0) == {4: (1, False)}
+        assert rule([8, 8], gamma=2, groups=0) == {4: (1, True)}
+        assert rule([], gamma=0, groups=0) == {}
 
     @given(st.integers(1, 20),
            st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2),
@@ -117,8 +123,9 @@ class TestThresholds:
     def test_admits_is_bucket_rule(self, q, eps, gamma, groups, data):
         sched = thresholds(q, eps)
         sizes = data.draw(st.lists(st.integers(1, q), max_size=12))
+        rule = bucket_rule_reference(sched, sizes, gamma, groups)
         assert sched.admits(sorted(sizes), gamma, groups) == all(
-            ok for _, ok in sched.bucket_rule(sizes, gamma, groups).values())
+            ok for _, ok in rule.values())
 
     def test_admits_by_hand(self):
         sched = thresholds(10, 0.5)  # buckets as in test_bucket_rule_by_hand
@@ -295,6 +302,64 @@ class TestProfileComplexity:
                                  TransformParams(gamma=1, groups=1))
         assert rep.ok
         assert set(rep.distinct_sizes.values()) == {1}
+
+    def test_matches_bucket_rule_reference(self):
+        # ITP, exact and transform outputs at several (eps, gamma, g): the
+        # counts, the verdict and the violated (node, bucket) pairs are the
+        # reference's, on coverages from a subtree scan
+        sols = []
+        for shape in ("random", "binary", "star", "parallel-paths"):
+            for seed in range(3):
+                inst = generate(shape, 8, 3, "unit", seed)
+                sols += [(inst, itp_solve(inst)), (inst, solve_exact(inst))]
+                big = generate(shape, 40, 10, "uniform", seed)
+                itp = itp_solve(big)
+                sols.append((big, itp))
+                for gamma, g in ((0, 1), (1, 2), (2, 1)):
+                    for t_seed in range(5):  # resample as the caller would
+                        try:
+                            out = transform(big, itp, 0.5,
+                                            TransformParams(gamma, g), t_seed)
+                        except TransformInfeasible:
+                            continue
+                        sols.append(out[:2])
+                        break
+        violated = 0
+        for inst, sol in sols:
+            picks = [t.as_dict() for t in sol.tours]
+            sizes = {}
+            for v in range(1, inst.n):
+                sub = set(inst.subtree(v))
+                sizes[v] = [c for p in picks
+                            if (c := sum(n for u, n in p.items() if u in sub))]
+            for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1)):
+                sched = thresholds(inst.capacity, eps)
+                for gamma, g in ((0, 1), (1, 2), (2, 3), (4, 2)):
+                    want, bad = {}, set()
+                    for v, here in sizes.items():
+                        for b, (d, ok) in bucket_rule_reference(
+                                sched, here, gamma, g).items():
+                            want[(v, b)] = d
+                            if not ok:
+                                bad.add((v, b))
+                    rep = profile_complexity(inst, sol, sched,
+                                             TransformParams(gamma, g))
+                    got = {tuple(map(int, re.match(
+                        r"node (\d+) bucket (\d+):", text).groups()))
+                        for text in rep.violations}
+                    assert rep.distinct_sizes == want
+                    assert (rep.ok, got) == (not bad, bad)
+                    assert len(rep.violations) == len(got)
+                    violated += bool(bad)
+        assert len(sols) > 40 and violated > 40
+
+    @pytest.mark.parametrize("q", [3, 9])
+    def test_refuses_a_schedule_of_another_capacity(self, q):
+        inst = hub_instance(leaves=3, q=5)
+        sol = Solution.of(inst, [Tour.of({v: 1 for v in range(2, 5)})])
+        with pytest.raises(ValueError, match=f"Q={q}, instance has Q=5"):
+            profile_complexity(inst, sol, thresholds(q, 0.5),
+                               TransformParams(gamma=1, groups=1))
 
 
 class TestTransform:
